@@ -1,9 +1,8 @@
 module Rng = Fmc_prelude.Rng
-module System = Fmc_cpu.System
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
 
-type disposition = Crashed of string | Timed_out
+type disposition = Ssf.disposition = Crashed of string | Timed_out
 
 type quarantine_entry = {
   q_index : int;
@@ -288,49 +287,21 @@ let quarantine_entry_of_string line =
   | _ -> bad "too few fields"
 
 (* ------------------------------------------------------------------ *)
-(* Supervised per-sample evaluation. *)
+(* Supervised runs: checkpoints, journal and signals around the one
+   sample loop, {!Ssf.run_samples}. *)
 
-(* Pruning under a non-native fault model would silently bias the tally
-   (the certificates prove masking of the disc transient only); refuse
-   the combination at every campaign entry point. *)
-let check_inject_compat ~who prune inject =
-  match (prune, inject) with
-  | Some _, Some (inj : Ssf.inject) ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: ?prune cannot be combined with fault model %s (analytical masking certificates \
-            are only sound for disc-transient)"
-           who inj.Ssf.inj_model)
-  | _ -> ()
-
-let evaluate_guarded ~causal ?sample_budget ?fault_hook ?prune ?inject engine rng i sample =
-  match
-    match prune with
-    | Some covered when covered sample ->
-        (* Certified masked (see Ssf.estimate): skip the simulation, tally
-           analytically. The fault hook is an evaluation-crash injection
-           point, so a skipped evaluation also skips it. *)
-        (Ssf.pruned_result engine sample, [])
-    | _ ->
-        (match fault_hook with Some h -> h i sample | None -> ());
-        let result =
-          match inject with
-          | None -> Engine.run_sample engine ?cycle_budget:sample_budget rng sample
-          | Some (inj : Ssf.inject) -> inj.Ssf.inj_run engine ?cycle_budget:sample_budget rng sample
-        in
-        let attributed =
-          if result.Engine.success && causal then
-            match inject with
-            | None -> Engine.causal_flips engine result
-            | Some inj -> inj.Ssf.inj_causal engine result
-          else result.Engine.flips
-        in
-        (result, attributed)
-  with
-  | r -> Ok r
-  | exception System.Cycle_budget_exhausted _ -> Error Timed_out
-  | exception Sys.Break -> raise Sys.Break
-  | exception e -> Error (Crashed (Printexc.to_string e))
+let quarantine_entry q_index (sample : Sampler.sample) q_disposition =
+  {
+    q_index;
+    q_disposition;
+    q_stratum = sample.Sampler.stratum;
+    q_t = sample.Sampler.t;
+    q_center = sample.Sampler.center;
+    q_radius = sample.Sampler.radius;
+    q_width = sample.Sampler.width;
+    q_time_frac = sample.Sampler.time_frac;
+    q_weight = sample.Sampler.weight;
+  }
 
 let install_handlers flag =
   let install s =
@@ -342,8 +313,12 @@ let install_handlers flag =
 let restore_handlers saved =
   List.iter (fun (s, old) -> try Sys.set_signal s old with Invalid_argument _ | Sys_error _ -> ()) saved
 
-let run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepared ~tally ~rng ~seed =
+let run_loop config ~who ~obs ?causal ?fault_hook ?prune ?inject ?stop engine prepared ~tally ~rng
+    ~seed =
   if config.checkpoint_every <= 0 then invalid_arg "Campaign: non-positive checkpoint_every";
+  let ev =
+    Ssf.evaluator ~who ?causal ?sample_budget:config.sample_budget ?fault_hook ?prune ?inject engine
+  in
   let samples = Ssf.Tally.total tally in
   let strategy = Sampler.name prepared in
   let t_start = Fmc_obs.Clock.now () in
@@ -368,62 +343,29 @@ let run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepare
               ~rng_state:(Rng.state rng) (Ssf.Tally.snapshot tally))
   in
   let quarantines = ref [] in
+  let on_quarantine i sample disposition =
+    let entry = quarantine_entry i sample disposition in
+    quarantines := entry :: !quarantines;
+    Option.iter
+      (fun oc ->
+        output_string oc (journal_line entry);
+        output_char oc '\n';
+        flush oc)
+      journal_oc
+  in
   let interrupted = ref false in
   let saved = if config.handle_signals then install_handlers interrupted else [] in
-  (* Engine phase spans land in the same sinks for the campaign's duration. *)
-  let saved_obs = if Obs.enabled obs then Some (Engine.obs engine) else None in
-  Option.iter (fun _ -> Engine.set_obs engine obs) saved_obs;
   Fun.protect
     ~finally:(fun () ->
-      Option.iter (Engine.set_obs engine) saved_obs;
       restore_handlers saved;
       Option.iter close_out_noerr journal_oc)
   @@ fun () ->
-  let should_stop () =
-    !interrupted || (match stop with Some f -> f (Ssf.Tally.processed tally) | None -> false)
-  in
-  let stopped = ref false in
-  while (not !stopped) && Ssf.Tally.processed tally < samples do
-    if should_stop () then stopped := true
-    else begin
-      let i = Ssf.Tally.processed tally + 1 in
-      let sample = Sampler.draw ~obs prepared rng in
-      (match
-         evaluate_guarded ~causal ?sample_budget:config.sample_budget ?fault_hook ?prune ?inject
-           engine rng i sample
-       with
-      | Ok (result, attributed) -> Ssf.Tally.record tally sample result ~attributed
-      | Error disposition ->
-          let reason =
-            match disposition with Timed_out -> Ssf.Q_timed_out | Crashed _ -> Ssf.Q_crashed
-          in
-          Ssf.Tally.quarantine tally sample ~reason;
-          let entry =
-            {
-              q_index = i;
-              q_disposition = disposition;
-              q_stratum = sample.Sampler.stratum;
-              q_t = sample.Sampler.t;
-              q_center = sample.Sampler.center;
-              q_radius = sample.Sampler.radius;
-              q_width = sample.Sampler.width;
-              q_time_frac = sample.Sampler.time_frac;
-              q_weight = sample.Sampler.weight;
-            }
-          in
-          quarantines := entry :: !quarantines;
-          Option.iter
-            (fun oc ->
-              output_string oc (journal_line entry);
-              output_char oc '\n';
-              flush oc)
-            journal_oc);
-      (* The checkpoint is taken after the sample's draws and statistics
-         landed, so the stored RNG state resumes with the next sample and
-         the continuation is bit-exact. *)
-      if i mod config.checkpoint_every = 0 then flush_checkpoint ()
-    end
-  done;
+  Ssf.run_samples ~obs ev prepared tally rng ~until:samples ~on_quarantine
+    ~stop:(fun n -> !interrupted || match stop with Some f -> f n | None -> false)
+    (* The checkpoint is taken after the sample's draws and statistics
+       landed, so the stored RNG state resumes with the next sample and
+       the continuation is bit-exact. *)
+    ~on_sample:(fun i -> if i mod config.checkpoint_every = 0 then flush_checkpoint ());
   flush_checkpoint ();
   let elapsed_s = Fmc_obs.Clock.now () -. t_start in
   let done_here = Ssf.Tally.processed tally - base_processed in
@@ -435,13 +377,13 @@ let run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepare
     samples_per_sec = (if elapsed_s > 0. then float_of_int done_here /. elapsed_s else 0.);
   }
 
-let run ?(config = default_config) ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?fault_hook
-    ?prune ?inject ?stop engine prepared ~samples ~seed =
+let run ?(config = default_config) ?(obs = Obs.disabled) ?trace_every ?causal ?fault_hook ?prune
+    ?inject ?stop engine prepared ~samples ~seed =
   if samples <= 0 then invalid_arg "Campaign.run: non-positive sample count";
-  check_inject_compat ~who:"Campaign.run" prune inject;
   let rng = Rng.create seed in
   let tally = Ssf.Tally.create ~obs ?trace_every prepared ~total:samples in
-  run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepared ~tally ~rng ~seed
+  run_loop config ~who:"Campaign.run" ~obs ?causal ?fault_hook ?prune ?inject ?stop engine prepared
+    ~tally ~rng ~seed
 
 (* ------------------------------------------------------------------ *)
 (* Shard-seeded execution: the unit of work of a distributed campaign.
@@ -461,48 +403,22 @@ type shard_result = {
   sh_quarantined : quarantine_entry list;
 }
 
-let run_shard ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?sample_budget ?fault_hook
-    ?prune ?inject ?on_sample engine prepared ~seed ~shard ~start ~len =
+let run_shard ?(obs = Obs.disabled) ?trace_every ?causal ?sample_budget ?fault_hook ?prune ?inject
+    ?on_sample engine prepared ~seed ~shard ~start ~len =
   if len <= 0 then invalid_arg "Campaign.run_shard: non-positive shard length";
   if start < 0 then invalid_arg "Campaign.run_shard: negative shard start";
-  check_inject_compat ~who:"Campaign.run_shard" prune inject;
+  (* Hooks and quarantine entries see global sample indices. *)
+  let fault_hook = Option.map (fun h i -> h (start + i)) fault_hook in
+  let ev =
+    Ssf.evaluator ~who:"Campaign.run_shard" ?causal ?sample_budget ?fault_hook ?prune ?inject engine
+  in
   let rng = Rng.substream ~seed:(Int64.of_int seed) ~shard in
   let tally = Ssf.Tally.create ~obs ?trace_every prepared ~total:len in
   let quarantines = ref [] in
-  let saved_obs = if Obs.enabled obs then Some (Engine.obs engine) else None in
-  Option.iter (fun _ -> Engine.set_obs engine obs) saved_obs;
-  Fun.protect ~finally:(fun () -> Option.iter (Engine.set_obs engine) saved_obs) @@ fun () ->
   Obs.span obs ~cat:"dist" "shard" (fun () ->
-      for i = 1 to len do
-        let gi = start + i in
-        let sample = Sampler.draw ~obs prepared rng in
-        (match
-           evaluate_guarded ~causal ?sample_budget ?fault_hook ?prune ?inject engine rng gi sample
-         with
-        | Ok (result, attributed) -> Ssf.Tally.record tally sample result ~attributed
-        | Error disposition ->
-            let reason =
-              match disposition with Timed_out -> Ssf.Q_timed_out | Crashed _ -> Ssf.Q_crashed
-            in
-            Ssf.Tally.quarantine tally sample ~reason;
-            quarantines :=
-              {
-                q_index = gi;
-                q_disposition = disposition;
-                q_stratum = sample.Sampler.stratum;
-                q_t = sample.Sampler.t;
-                q_center = sample.Sampler.center;
-                q_radius = sample.Sampler.radius;
-                q_width = sample.Sampler.width;
-                q_time_frac = sample.Sampler.time_frac;
-                q_weight = sample.Sampler.weight;
-              }
-              :: !quarantines);
-        (* The progress hook runs outside the crash guard: an exception it
-           raises (e.g. a worker abandoning a lost lease) aborts the shard
-           instead of quarantining the current sample. *)
-        match on_sample with Some h -> h i | None -> ()
-      done);
+      Ssf.run_samples ~obs ?on_sample ev prepared tally rng ~until:len
+        ~on_quarantine:(fun i sample disposition ->
+          quarantines := quarantine_entry (start + i) sample disposition :: !quarantines));
   {
     sh_shard = shard;
     sh_start = start;
@@ -514,7 +430,7 @@ let run_shard ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?sample_budget
 let shard_report ~strategy (s : Ssf.Tally.snapshot) =
   Ssf.Tally.report (Ssf.Tally.restore s) ~strategy
 
-let estimate_sharded ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?sample_budget ?fault_hook
+let estimate_sharded ?(obs = Obs.disabled) ?trace_every ?causal ?sample_budget ?fault_hook
     ?prune ?inject ?(shard_size = 1000) engine prepared ~samples ~seed =
   if samples <= 0 then invalid_arg "Campaign.estimate_sharded: non-positive sample count";
   let plan = Ssf.shard_plan ~samples ~shard_size in
@@ -523,7 +439,7 @@ let estimate_sharded ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?sample
     Array.to_list
       (Array.mapi
          (fun shard (start, len) ->
-           run_shard ~obs ?trace_every ~causal ?sample_budget ?fault_hook ?prune ?inject engine
+           run_shard ~obs ?trace_every ?causal ?sample_budget ?fault_hook ?prune ?inject engine
              prepared ~seed ~shard ~start ~len)
          plan)
   in
@@ -540,9 +456,8 @@ let estimate_sharded ?(obs = Obs.disabled) ?trace_every ?(causal = true) ?sample
     samples_per_sec = (if elapsed_s > 0. then float_of_int samples /. elapsed_s else 0.);
   }
 
-let resume ?config ?(obs = Obs.disabled) ?(causal = true) ?fault_hook ?prune ?inject ?stop engine
-    prepared ~path =
-  check_inject_compat ~who:"Campaign.resume" prune inject;
+let resume ?(config = default_config) ?(obs = Obs.disabled) ?causal ?fault_hook ?prune ?inject ?stop
+    engine prepared ~path =
   let ck = read_checkpoint path in
   if ck.ck_strategy <> Sampler.name prepared then
     corrupt_at path
@@ -552,12 +467,11 @@ let resume ?config ?(obs = Obs.disabled) ?(causal = true) ?fault_hook ?prune ?in
     corrupt_at path
       "checkpoint was taken under fault model %S, not %S (the evaluated outcomes would diverge)"
       ck.ck_model (Ssf.inject_model inject);
+  (* Keep writing to the checkpoint we resumed from unless redirected. *)
   let config =
-    let c = Option.value config ~default:default_config in
-    (* Keep writing to the checkpoint we resumed from unless redirected. *)
-    if c.checkpoint_path = None then { c with checkpoint_path = Some path } else c
+    if config.checkpoint_path = None then { config with checkpoint_path = Some path } else config
   in
   let rng = Rng.of_state ck.ck_rng in
   let tally = Ssf.Tally.restore ~obs ck.ck_snapshot in
-  run_loop config ~obs ~causal ?fault_hook ?prune ?inject ?stop engine prepared ~tally ~rng
-    ~seed:ck.ck_seed
+  run_loop config ~who:"Campaign.resume" ~obs ?causal ?fault_hook ?prune ?inject ?stop engine
+    prepared ~tally ~rng ~seed:ck.ck_seed

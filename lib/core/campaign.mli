@@ -46,7 +46,7 @@
       "sample":{"stratum":..,"t":..,"center":..,"radius":..,"width":..,
       "time_frac":..,"weight":..}}]. *)
 
-type disposition =
+type disposition = Ssf.disposition =
   | Crashed of string  (** the evaluation raised; payload: the exception *)
   | Timed_out  (** the per-sample cycle budget was exhausted *)
 
@@ -112,27 +112,19 @@ val run :
   samples:int ->
   seed:int ->
   result
-(** Run a fresh campaign. With no quarantines and no interruption the
-    report is identical to [Ssf.estimate ~causal engine prepared ~samples
-    ~seed]. [inject] evaluates every sample under a pluggable fault model
-    instead of the native disc transient (see {!Ssf.inject}); it is
-    recorded in the checkpoint header and refused in combination with
-    [prune] (masking certificates are disc-transient-only).
-    [stop] is polled with the processed-sample count before each
-    draw (a [true] stops the campaign exactly like a signal would);
-    [fault_hook] runs inside the per-sample guard before evaluation — an
-    exception it raises quarantines that sample (test fault-injection
-    point). [prune] is the analytical masking oracle of [Ssf.estimate]:
-    a covered sample skips evaluation (and the fault hook) and is tallied
-    as masked with its original weight, keeping the report byte-identical
-    to the unpruned campaign. [obs] (default disabled) attaches observability: the tally's
-    convergence telemetry, a ["checkpoint_write"] span plus
-    [fmc_checkpoints_total] counter per durable checkpoint, and the
-    engine's phase spans (the handle is installed on [engine] for the
-    campaign's duration, restoring the previous one after). Observability
-    never touches the RNG — the report stays bit-identical. Raises
-    [Invalid_argument] on a non-positive sample count or checkpoint
-    period. *)
+(** Run a fresh campaign: {!Ssf.run_samples} over the
+    {!Ssf.evaluator} of [causal], [fault_hook], [prune], [inject] and
+    [config.sample_budget], plus checkpoints, the failure journal and
+    signal handling. Without a fault hook or an interruption the report is
+    identical to [Ssf.estimate ~causal ?prune ?inject engine prepared
+    ~samples ~seed]. [inject]'s model is recorded in the checkpoint
+    header. [stop] is polled with the processed-sample count before each
+    draw (a [true] stops the campaign exactly like a signal would). [obs]
+    (default disabled) attaches the tally's convergence telemetry, a
+    ["checkpoint_write"] span plus [fmc_checkpoints_total] counter per
+    durable checkpoint, and the engine's phase spans; it never touches
+    the RNG. Raises [Invalid_argument] on a non-positive sample count or
+    checkpoint period, or on a combination {!Ssf.evaluator} refuses. *)
 
 val journal_line : quarantine_entry -> string
 (** The failure journal's JSON rendering of one entry (no trailing

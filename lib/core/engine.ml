@@ -53,7 +53,7 @@ type t = {
   golden : Golden.t;
   netsys : Netsys.t;  (* reused across samples; state rewritten per run *)
   (* Mutable so cached/shared engines (e.g. Experiments' per-benchmark
-     cache) can be instrumented per run; [Ssf.estimate] installs its
+     cache) can be instrumented per run; [Ssf.run_samples] installs its
      handle for the duration of a run and restores the previous one. *)
   mutable obs : Obs.t;
   mutable einst : einst option;

@@ -39,7 +39,7 @@ val set_obs : t -> Fmc_obs.Obs.t -> unit
     and bump the engine counters ([fmc_restores_total],
     [fmc_rtl_cycles_total], [fmc_gate_cycles_total],
     [fmc_sample_duration_us]). Callers rarely need this directly:
-    {!Ssf.estimate} installs its [?obs] on the engine for the run's
+    {!Ssf.run_samples} installs its [?obs] on the engine for the run's
     duration and restores the previous handle afterwards. Observability
     never consumes randomness — results are bit-identical either way. *)
 

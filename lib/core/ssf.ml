@@ -3,7 +3,7 @@ module Rng = Fmc_prelude.Rng
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
 
-type quarantine_reason = Q_crashed | Q_timed_out
+type disposition = Crashed of string | Timed_out
 
 type outcome_counts = {
   masked : int;
@@ -210,7 +210,6 @@ module Tally = struct
 
   let processed t = t.processed
   let total t = t.total
-  let quarantined t = t.quarantined
 
   let kish t = if t.sum_w2 > 0. then t.sum_w *. t.sum_w /. t.sum_w2 else float_of_int t.processed
 
@@ -253,12 +252,17 @@ module Tally = struct
             elapsed_s = elapsed;
           }
 
-  let bump_trace t =
-    if t.processed mod t.trace_every = 0 || t.processed = t.total then begin
-      let est = current_estimate t in
-      t.trace <- (t.processed, est) :: t.trace;
-      if Obs.enabled t.obs then emit_progress t est
-    end
+  let trace_point t =
+    let est = current_estimate t in
+    t.trace <- (t.processed, est) :: t.trace;
+    if Obs.enabled t.obs then emit_progress t est
+
+  let bump_trace t = if t.processed mod t.trace_every = 0 || t.processed = t.total then trace_point t
+
+  (* End a tally short of its total: add the closing trace point a tally
+     created with [~total:processed] would have written, so the report
+     equals that tally's. *)
+  let close t = if t.processed mod t.trace_every <> 0 && t.processed <> t.total then trace_point t
 
   let bump_draw inst (sample : Sampler.sample) =
     Metrics.inc inst.i_samples;
@@ -314,13 +318,13 @@ module Tally = struct
     t.processed <- t.processed + 1;
     t.quarantined <- t.quarantined + 1;
     (match reason with
-    | Q_crashed -> t.q_crashed <- t.q_crashed + 1
-    | Q_timed_out -> t.q_timed_out <- t.q_timed_out + 1);
+    | Crashed _ -> t.q_crashed <- t.q_crashed + 1
+    | Timed_out -> t.q_timed_out <- t.q_timed_out + 1);
     (match t.inst with
     | Some inst ->
         bump_draw inst sample;
         Metrics.inc inst.i_quarantined;
-        Metrics.inc (match reason with Q_crashed -> inst.i_q_crashed | Q_timed_out -> inst.i_q_timed_out)
+        Metrics.inc (match reason with Crashed _ -> inst.i_q_crashed | Timed_out -> inst.i_q_timed_out)
     | None -> ());
     let i = slot t sample.Sampler.stratum in
     (* The honest accumulators skip the sample entirely (it is reported in
@@ -595,71 +599,97 @@ type inject = {
 
 let inject_model = function None -> "disc-transient" | Some i -> i.inj_model
 
-let check_prune_compat ~who prune ~cell_filter ~impact_cycles ~hardened ~inject =
+(* ------------------------------------------------------------------ *)
+(* The sample loop. *)
+
+type evaluator = {
+  engine : Engine.t;
+  eval : Rng.t -> int -> Sampler.sample -> Engine.run_result * (string * int) list;
+}
+
+let evaluator ~who ?(causal = true) ?cell_filter ?impact_cycles ?hardened ?resilience
+    ?sample_budget ?fault_hook ?prune ?inject engine =
   if prune <> None && (cell_filter <> None || impact_cycles <> None || hardened <> None) then
     invalid_arg
       (who ^ ": ?prune cannot be combined with ?cell_filter/?impact_cycles/?hardened (the \
               certificates assume the unmodified single-cycle fault model)");
-  match (prune, inject) with
+  (match (prune, inject) with
   | Some _, Some inj ->
       invalid_arg
         (Printf.sprintf
            "%s: ?prune cannot be combined with fault model %s (analytical masking certificates \
             are only sound for disc-transient)"
            who inj.inj_model)
-  | _ -> ()
-
-let estimate ?(obs = Obs.disabled) ?(trace_every = 50) ?(causal = true) ?cell_filter ?impact_cycles
-    ?hardened ?resilience ?prune ?inject engine prepared ~samples ~seed =
-  if samples <= 0 then invalid_arg "Ssf.estimate: non-positive sample count";
-  check_prune_compat ~who:"Ssf.estimate" prune ~cell_filter ~impact_cycles ~hardened ~inject;
-  let rng = Rng.create seed in
-  let tally = Tally.create ~obs ~trace_every prepared ~total:samples in
-  (* Route the handle into the engine's phase instrumentation for the
-     duration of this run (restoring whatever the engine carried before),
-     so callers only ever thread one [?obs]. *)
-  let saved = if Obs.enabled obs then Some (Engine.obs engine) else None in
-  Option.iter (fun _ -> Engine.set_obs engine obs) saved;
-  Fun.protect ~finally:(fun () -> Option.iter (Engine.set_obs engine) saved) @@ fun () ->
-  for _ = 1 to samples do
-    let sample = Sampler.draw ~obs prepared rng in
+  | _ -> ());
+  (* Leave-one-out causal attribution strips incidental co-flips; it
+     replays deterministically, so it is disabled when hardening
+     randomness is in play, and also under a cell filter (the replay
+     would not see the filter). *)
+  let causal = causal && hardened = None && cell_filter = None && impact_cycles = None in
+  let run, attribute =
+    match inject with
+    | None ->
+        ( Engine.run_sample engine ?cell_filter ?impact_cycles ?hardened ?resilience
+            ?cycle_budget:sample_budget,
+          Engine.causal_flips engine )
+    | Some inj -> (inj.inj_run engine ?cycle_budget:sample_budget, inj.inj_causal engine)
+  in
+  let eval rng i sample =
     match prune with
     | Some covered when covered sample ->
         (* Certified masked: skip the simulation and tally analytically
            with the original weight. [run_sample] consumes no randomness
            without ?hardened, so the RNG stream — and hence every later
-           draw and the final report — is untouched by the skip. *)
-        Tally.record tally sample (pruned_result engine sample) ~attributed:[]
+           draw and the final report — is untouched by the skip. The fault
+           hook is an evaluation-crash injection point, so a skipped
+           evaluation also skips it. *)
+        (pruned_result engine sample, [])
     | _ ->
-        let result =
-          match inject with
-          | None ->
-              Engine.run_sample engine ?cell_filter ?impact_cycles ?hardened ?resilience rng sample
-          | Some inj -> inj.inj_run engine rng sample
-        in
-        let attributed =
-          (* Leave-one-out causal attribution strips incidental co-flips; it
-             replays deterministically, so it is disabled when hardening
-             randomness is in play, and also under a cell filter (the replay
-             would not see the filter). *)
-          if result.Engine.success
-             && causal && hardened = None && cell_filter = None && impact_cycles = None
-          then
-            match inject with
-            | None -> Engine.causal_flips engine result
-            | Some inj -> inj.inj_causal engine result
-          else result.Engine.flips
-        in
-        Tally.record tally sample result ~attributed
-  done;
+        Option.iter (fun h -> h i sample) fault_hook;
+        let result = run rng sample in
+        (result, if result.Engine.success && causal then attribute result else result.Engine.flips)
+  in
+  { engine; eval }
+
+let run_samples ?(obs = Obs.disabled) ?(stop = fun _ -> false) ?(on_sample = ignore)
+    ?(on_quarantine = fun _ _ _ -> ()) ev prepared tally rng ~until =
+  (* Route the handle into the engine's phase instrumentation for the
+     duration of this run (restoring whatever the engine carried before),
+     so callers only ever thread one [?obs]. *)
+  let saved = if Obs.enabled obs then Some (Engine.obs ev.engine) else None in
+  Option.iter (fun _ -> Engine.set_obs ev.engine obs) saved;
+  Fun.protect ~finally:(fun () -> Option.iter (Engine.set_obs ev.engine) saved) @@ fun () ->
+  let quarantine i sample reason =
+    Tally.quarantine tally sample ~reason;
+    on_quarantine i sample reason
+  in
+  while Tally.processed tally < until && not (stop (Tally.processed tally)) do
+    let i = Tally.processed tally + 1 in
+    let sample = Sampler.draw ~obs prepared rng in
+    (match ev.eval rng i sample with
+    | result, attributed -> Tally.record tally sample result ~attributed
+    | exception Sys.Break -> raise Sys.Break
+    | exception Fmc_cpu.System.Cycle_budget_exhausted _ -> quarantine i sample Timed_out
+    | exception e -> quarantine i sample (Crashed (Printexc.to_string e)));
+    on_sample i
+  done
+
+let estimate ?(obs = Obs.disabled) ?(trace_every = 50) ?causal ?cell_filter ?impact_cycles
+    ?hardened ?resilience ?prune ?inject engine prepared ~samples ~seed =
+  if samples <= 0 then invalid_arg "Ssf.estimate: non-positive sample count";
+  let ev =
+    evaluator ~who:"Ssf.estimate" ?causal ?cell_filter ?impact_cycles ?hardened ?resilience ?prune
+      ?inject engine
+  in
+  let tally = Tally.create ~obs ~trace_every prepared ~total:samples in
+  run_samples ~obs ev prepared tally (Rng.create seed) ~until:samples;
   Tally.report tally ~strategy:(Sampler.name prepared)
 
 (* Permutation-invariant float reduction: sort the addends before folding.
    IEEE addition is commutative, so any two argument lists that are
    permutations of each other produce the bit-identical sum — which makes
    a merged report independent of the order its parts arrived in (worker
-   completion order in a distributed campaign, batch completion order in
-   {!estimate_parallel}). *)
+   completion order in a distributed campaign). *)
 let canonical_sum xs = List.fold_left ( +. ) 0. (List.sort compare xs)
 
 (* Merge the running-estimate traces by {e local sample index}: sweep the
@@ -774,93 +804,6 @@ let shard_plan ~samples ~shard_size =
       let start = i * shard_size in
       (start, min shard_size (samples - start)))
 
-let estimate_parallel ?domains ?causal ?(batch = 500) ?(max_batch_retries = 2) ?batch_hook
-    ?(obs = Obs.disabled) ~engine_factory prepared ~samples ~seed =
-  let domains =
-    match domains with Some d -> max 1 d | None -> max 1 (Domain.recommended_domain_count () - 1)
-  in
-  if samples <= 0 then invalid_arg "Ssf.estimate_parallel: non-positive sample count";
-  if batch <= 0 then invalid_arg "Ssf.estimate_parallel: non-positive batch";
-  let n_batches = (samples + batch - 1) / batch in
-  let size b = if b = n_batches - 1 then samples - (batch * (n_batches - 1)) else batch in
-  (* Supervised work queue: per-batch seeds depend only on the batch index,
-     so the merged result is deterministic no matter which domain ends up
-     running which batch, and a crashed domain's completed batches survive
-     (each lives in its own slot of [results]). A failed batch is re-queued
-     with bounded retries; the worker that crashed continues on a fresh
-     engine, since an exception may have left the shared simulator state of
-     its old one poisoned. *)
-  let mutex = Mutex.create () in
-  let pending = Queue.create () in
-  for b = 0 to n_batches - 1 do
-    Queue.add b pending
-  done;
-  let attempts = Array.make n_batches 0 in
-  let results = Array.make n_batches None in
-  let failures = ref [] in
-  let pop () =
-    Mutex.protect mutex (fun () -> if Queue.is_empty pending then None else Some (Queue.pop pending))
-  in
-  let backoff k =
-    (* Exponential backoff before handing the batch back to the queue. *)
-    for _ = 1 to (1 lsl min k 10) * 4096 do
-      Domain.cpu_relax ()
-    done
-  in
-  (* Workers observe into private forks (registries and tracers are
-     single-domain); the supervisor absorbs them after the join, so the
-     merged metrics cover all batches and the trace carries one tid per
-     worker. The progress sink intentionally does not fork. *)
-  let forked = ref [] in
-  let worker widx () =
-    let wobs =
-      if not (Obs.enabled obs) then Obs.disabled
-      else begin
-        let o = Obs.fork obs ~tid:(widx + 1) in
-        Mutex.protect mutex (fun () -> forked := o :: !forked);
-        o
-      end
-    in
-    let engine = ref (engine_factory ()) in
-    let rec loop () =
-      match pop () with
-      | None -> ()
-      | Some b ->
-          (match
-             (match batch_hook with Some h -> h b | None -> ());
-             estimate ~obs:wobs ?causal !engine prepared ~samples:(size b)
-               ~seed:(seed + (7919 * (b + 1)))
-           with
-          | r ->
-              Mutex.protect mutex (fun () -> results.(b) <- Some r);
-              loop ()
-          | exception e ->
-              let msg = Printexc.to_string e in
-              let retry =
-                Mutex.protect mutex (fun () ->
-                    attempts.(b) <- attempts.(b) + 1;
-                    failures := (b, msg) :: !failures;
-                    attempts.(b) <= max_batch_retries)
-              in
-              engine := engine_factory ();
-              if retry then begin
-                backoff attempts.(b);
-                Mutex.protect mutex (fun () -> Queue.add b pending)
-              end;
-              loop ())
-    in
-    loop ()
-  in
-  let spawned = List.init (min domains n_batches) (fun i -> Domain.spawn (worker i)) in
-  List.iter Domain.join spawned;
-  List.iter (Obs.absorb obs) (List.rev !forked);
-  let reports = List.filter_map Fun.id (Array.to_list results) in
-  if reports = [] then
-    failwith
-      (Printf.sprintf "Ssf.estimate_parallel: every batch failed permanently (last error: %s)"
-         (match !failures with (_, m) :: _ -> m | [] -> "unknown"));
-  merge_reports reports
-
 let confidence_interval report ~z =
   let half = z *. sqrt (report.variance /. float_of_int (max 1 report.n)) in
   (Float.max 0. (report.ssf -. half), Float.min 1. (report.ssf +. half))
@@ -869,18 +812,24 @@ let estimate_until ?obs ?trace_every ?causal ?prune ?inject ?(batch = 500)
     ?(max_samples = 200_000) engine prepared ~half_width ~z ~seed =
   if half_width <= 0. then invalid_arg "Ssf.estimate_until: non-positive half_width";
   if batch <= 0 then invalid_arg "Ssf.estimate_until: non-positive batch";
-  (* Deterministic growth: re-estimate with a growing sample count so the
-     stream stays reproducible (estimation cost is linear in the final n,
-     and the doubling schedule keeps the total within ~4x of one pass).
-     Metrics and spans accumulate over every pass — they report the work
-     actually done, which for the doubling schedule exceeds the final n. *)
+  if max_samples <= 0 then invalid_arg "Ssf.estimate_until: non-positive max_samples";
+  let ev = evaluator ~who:"Ssf.estimate_until" ?causal ?prune ?inject engine in
+  let tally = Tally.create ?obs ?trace_every prepared ~total:max_samples in
+  let rng = Rng.create seed in
+  let strategy = Sampler.name prepared in
+  (* One stream, extended pass by pass: the CI is checked at each pass
+     boundary, and the stopped tally is exactly the one
+     [estimate ~samples:n] builds, so the report covers every sample
+     simulated. *)
   let rec go n =
-    let report = estimate ?obs ?trace_every ?causal ?prune ?inject engine prepared ~samples:n ~seed in
-    let lo, hi = confidence_interval report ~z in
-    if (hi -. lo) /. 2. <= half_width || n >= max_samples then report
-    else go (min max_samples (max (n + batch) (2 * n)))
+    run_samples ?obs ev prepared tally rng ~until:n;
+    let lo, hi = confidence_interval (Tally.report tally ~strategy) ~z in
+    if (hi -. lo) /. 2. > half_width && n < max_samples then
+      go (min max_samples (max (n + batch) (2 * n)))
   in
-  go batch
+  go (min batch max_samples);
+  Tally.close tally;
+  Tally.report tally ~strategy
 
 let contribution_coverage report ~fraction =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. report.contributions in

@@ -8,9 +8,10 @@
     per-register success attribution (the "3% registers, 95% SSF"
     analysis). *)
 
-type quarantine_reason =
-  | Q_crashed  (** the evaluation raised (crash guard) *)
-  | Q_timed_out  (** the per-sample cycle budget ran out (watchdog) *)
+(** Why the crash guard of {!run_samples} quarantined a sample. *)
+type disposition =
+  | Crashed of string  (** the evaluation raised; payload: the exception *)
+  | Timed_out  (** the per-sample cycle budget was exhausted *)
 
 type outcome_counts = {
   masked : int;  (** no register error survived the injection cycle *)
@@ -18,8 +19,8 @@ type outcome_counts = {
   resumed : int;  (** RTL simulation had to resume *)
   quarantined : int;
       (** samples whose evaluation crashed or timed out and was isolated by
-          the campaign runner ({!Campaign}); always 0 for direct
-          {!estimate} runs. The four buckets partition the [n] samples. *)
+          the sample loop's crash guard ({!run_samples}). The four buckets
+          partition the [n] samples. *)
   q_crashed : int;  (** quarantines attributed to the crash guard *)
   q_timed_out : int;
       (** quarantines attributed to the cycle-budget watchdog;
@@ -53,9 +54,8 @@ type report = {
   success_by_comb : int;  (** successes caused purely by combinational transients *)
 }
 
-(** The incremental estimator state behind {!estimate}, exposed so the
-    fault-tolerant campaign runner ({!Campaign}) can drive the same
-    statistics one sample at a time, quarantine pathological samples, and
+(** The incremental estimator state {!run_samples} folds samples into,
+    exposed so the campaign runner ({!Campaign}) and the fleet can
     durably snapshot/restore the whole accumulator mid-run. A tally fed the
     same (sample, result, attribution) stream as {!estimate} produces a
     bit-identical report. *)
@@ -102,7 +102,6 @@ module Tally : sig
   (** Samples consumed so far, including quarantined ones. *)
 
   val total : t -> int
-  val quarantined : t -> int
 
   val record : t -> Sampler.sample -> Engine.run_result -> attributed:(string * int) list -> unit
   (** Fold one evaluated sample into the estimate. [attributed] is the flip
@@ -110,7 +109,7 @@ module Tally : sig
       causal attribution and the raw flip set, exactly as {!estimate}
       does). *)
 
-  val quarantine : t -> Sampler.sample -> reason:quarantine_reason -> unit
+  val quarantine : t -> Sampler.sample -> reason:disposition -> unit
   (** Consume one sample slot without folding it into the honest estimate:
       the sample counts in [n], the [quarantined] bucket and the [reason]'s
       sub-bucket, and enters the pessimistic accumulators as a full-weight
@@ -187,9 +186,73 @@ val shard_plan : samples:int -> shard_size:int -> (int * int) array
 val pruned_result : Engine.t -> Sampler.sample -> Engine.run_result
 (** The analytical result a certified-masked sample is tallied with:
     field-for-field what {!Engine.run_sample} returns on its masked path
-    ([outcome = Masked], [success = false], no flips). Shared by
-    {!estimate} and [Campaign]'s pruned paths so both stay bit-identical
-    to the simulated run. *)
+    ([outcome = Masked], [success = false], no flips). {!run_samples}
+    tallies every pruned sample with it, so a pruned run stays
+    bit-identical to the simulated one. *)
+
+type evaluator
+(** The per-sample evaluation of one run, built by {!evaluator}. *)
+
+val evaluator :
+  who:string ->
+  ?causal:bool ->
+  ?cell_filter:(Fmc_netlist.Netlist.node -> bool) ->
+  ?impact_cycles:int ->
+  ?hardened:(Fmc_netlist.Netlist.node -> bool) ->
+  ?resilience:float ->
+  ?sample_budget:int ->
+  ?fault_hook:(int -> Sampler.sample -> unit) ->
+  ?prune:(Sampler.sample -> bool) ->
+  ?inject:inject ->
+  Engine.t ->
+  evaluator
+(** Build the per-sample evaluation of one run.
+
+    - [prune] is an analytical masking oracle (e.g.
+      [Fmc_sva.Pruner.check]): when it returns true the sample {e must}
+      be one the engine would classify as exactly [Masked]. The
+      simulation (and [fault_hook]) is skipped and the sample is tallied
+      as {!pruned_result} with its original weight, leaving the report
+      byte-identical to the unpruned run (an unsound oracle silently
+      biases the estimate; use the certified pruner).
+    - [inject] substitutes a pluggable fault model for the native
+      disc-transient evaluation (the sample stream is unchanged).
+      [cell_filter]/[impact_cycles]/[hardened]/[resilience] modify the
+      native path only (see {!Engine.run_sample}); [sample_budget] is the
+      RTL-resume cycle budget of both.
+    - [fault_hook] runs before every simulated evaluation with the
+      sample's 1-based index in its tally (a test fault-injection point).
+    - [causal] (default true) applies leave-one-out counterfactual
+      attribution to successful runs, so the contribution list reflects
+      causal bits rather than incidental co-flips; it is off when
+      [cell_filter], [impact_cycles] or [hardened] is given.
+
+    Raises [Invalid_argument], naming [who], when [prune] is combined
+    with [inject] or with [cell_filter]/[impact_cycles]/[hardened]: the
+    masking certificates only cover the unmodified disc transient. *)
+
+val run_samples :
+  ?obs:Fmc_obs.Obs.t ->
+  ?stop:(int -> bool) ->
+  ?on_sample:(int -> unit) ->
+  ?on_quarantine:(int -> Sampler.sample -> disposition -> unit) ->
+  evaluator ->
+  Sampler.prepared ->
+  Tally.t ->
+  Fmc_prelude.Rng.t ->
+  until:int ->
+  unit
+(** The one sample loop: {!estimate}, {!estimate_until} and [Campaign]'s
+    [run], [resume] and [run_shard] all call it. Draw, evaluate and tally
+    samples from [rng] until the tally has processed [until] samples, or
+    [stop] (polled with the processed count before each draw) says to
+    stop. The evaluation runs under a crash guard: a sample whose cycle
+    budget runs out, or whose evaluation raises anything but [Sys.Break],
+    is {!Tally.quarantine}d and passed to [on_quarantine] with its 1-based
+    index in the tally. [on_sample] is called with that index after every
+    sample, outside the guard, so an exception it raises ends the loop.
+    While the loop runs [obs] is installed on the evaluator's engine (its
+    previous handle is restored afterwards). *)
 
 val estimate :
   ?obs:Fmc_obs.Obs.t ->
@@ -206,37 +269,20 @@ val estimate :
   samples:int ->
   seed:int ->
   report
-(** [inject] substitutes a pluggable fault model for the native
-    disc-transient evaluation (the sample stream is unchanged); it
-    cannot be combined with [prune] — masking certificates are only
-    sound for disc-transient — nor is [cell_filter]/[impact_cycles]/
-    [hardened] applied to an injected model (those modify the native
-    path only).
-
-    [prune] is an analytical masking oracle (e.g.
-    [Fmc_sva.Pruner.check]): when it returns true the sample {e must} be
-    one the engine would classify as exactly [Masked] — the simulation is
-    skipped and the sample is tallied analytically as a masked failure
-    with its original weight, leaving the report byte-identical to the
-    unpruned run (an unsound oracle silently biases the estimate; use the
-    certified pruner). Raises [Invalid_argument] when combined with
-    [cell_filter]/[impact_cycles]/[hardened], whose modified fault models
-    the certificates do not cover.
-
-    Deterministic for fixed arguments, including under [obs]:
-    observability reads the sample stream but never the RNG, so an
-    instrumented run returns the bit-identical report. While the run is in
-    flight the handle is also installed on [engine] (its previous handle is
-    restored afterwards), so the engine's phase spans and cycle counters
-    land in the same sinks. [causal] (default true) applies
-    leave-one-out counterfactual attribution to successful runs so that the
-    contribution list reflects causal bits rather than incidental co-flips;
-    it is automatically disabled when [hardened] is supplied. Raises
-    [Invalid_argument] on a non-positive sample count. *)
+(** The Monte Carlo estimate over [samples] draws from [Rng.create seed],
+    each evaluated as {!evaluator} describes. A sample whose evaluation
+    raises is quarantined by the crash guard of {!run_samples} (counted
+    in [outcomes.quarantined] and in [ssf_upper]) instead of aborting the
+    run; [Sys.Break] still propagates. Deterministic for fixed arguments,
+    including under [obs]: observability reads the sample stream but
+    never the RNG. While the run is in flight [obs] is also installed on
+    [engine], so the engine's phase spans and cycle counters land in the
+    same sinks. Raises [Invalid_argument] on a non-positive sample count
+    or a combination {!evaluator} refuses. *)
 
 val merge_reports : report list -> report
-(** Pool split-run reports (parallel domains, checkpointed shards,
-    distributed workers) into one: sample-count-weighted means for the
+(** Pool split-run reports (checkpointed shards, distributed workers)
+    into one: sample-count-weighted means for the
     estimates, summed counters, summed contribution tables, and the ESS
     recomputed from the pooled weight sums [(Σw)² / Σw²]. Every float
     reduction sorts its addends first, so the merged report is
@@ -247,41 +293,6 @@ val merge_reports : report list -> report
     number of samples finished across parts), so distributed and local
     convergence plots agree. Raises [Invalid_argument] on an empty
     list. *)
-
-val estimate_parallel :
-  ?domains:int ->
-  ?causal:bool ->
-  ?batch:int ->
-  ?max_batch_retries:int ->
-  ?batch_hook:(int -> unit) ->
-  ?obs:Fmc_obs.Obs.t ->
-  engine_factory:(unit -> Engine.t) ->
-  Sampler.prepared ->
-  samples:int ->
-  seed:int ->
-  report
-(** Supervised multicore estimation. The samples are cut into batches of
-    [batch] (default 500) whose seeds depend only on the batch index;
-    [domains] worker domains (default: the machine's recommended domain
-    count) pull batches from a shared queue and stream finished reports
-    back to the supervisor. A batch that raises is re-queued with
-    exponential backoff up to [max_batch_retries] (default 2) extra
-    attempts, and the worker that crashed continues on a freshly built
-    engine — completed batches are never lost to a crashed domain, and a
-    permanently failing batch is dropped from the pooled report rather
-    than aborting the run (the run only fails if {e every} batch fails).
-    [engine_factory] MUST build a fresh engine on every call (engines carry
-    mutable simulator state; sharing one across domains races) — e.g.
-    [fun () -> Engine.create ~precharac program]. [batch_hook] runs at the
-    start of every batch attempt and is a fault-injection point for tests.
-    The result is deterministic for a fixed [(batch, samples, seed)] triple
-    independent of [domains] and scheduling — but differs from the
-    sequential {!estimate} stream, and the trace is coarser (per-batch
-    checkpoints). Under [obs], every worker observes into a private fork of
-    the handle (tid = worker index + 1) that the supervisor merges back
-    after the join: counters and histograms sum across workers, trace
-    events interleave with per-worker tids, and the progress sink stays
-    supervisor-only (no interleaved emission). *)
 
 val confidence_interval : report -> z:float -> float * float
 (** Normal-approximation confidence interval for the SSF estimate:
@@ -302,11 +313,15 @@ val estimate_until :
   z:float ->
   seed:int ->
   report
-(** The paper's stopping rule made concrete: keep sampling (in batches,
-    default 500) until the confidence interval's half-width drops below
-    [half_width], or [max_samples] (default 200_000) is reached. The
-    returned report covers all samples taken. Raises [Invalid_argument] on
-    a non-positive [half_width]. *)
+(** The paper's stopping rule made concrete: keep sampling one stream
+    until the confidence interval's half-width drops below [half_width],
+    or [max_samples] (default 200_000) is reached. The interval is checked
+    at pass boundaries: after [min batch max_samples] samples (batch
+    default 500), then at [max (n + batch) (2 * n)] capped at
+    [max_samples]. The returned report covers all samples taken and is
+    bit-identical to [estimate ~samples:r.n] at the same seed. Raises
+    [Invalid_argument] on a non-positive [half_width], [batch] or
+    [max_samples]. *)
 
 val contribution_coverage : report -> fraction:float -> ((string * int) * float) list
 (** The smallest prefix of [contributions] covering at least [fraction] of

@@ -148,23 +148,6 @@ let merge (a : snapshot) (b : snapshot) : snapshot =
   in
   go a b []
 
-let absorb reg (s : snapshot) =
-  List.iter
-    (fun (name, (help, v)) ->
-      match v with
-      | Counter x ->
-          let c = counter reg ~help name in
-          c.c <- c.c +. x
-      | Gauge x ->
-          let g = gauge reg ~help name in
-          g.g <- Float.max g.g x
-      | Histo d ->
-          let h = histogram reg ~help ~buckets:d.buckets name in
-          Array.iteri (fun i n -> h.h_counts.(i) <- h.h_counts.(i) + n) d.counts;
-          h.h_sum <- h.h_sum +. d.sum;
-          h.h_count <- h.h_count + d.count)
-    s
-
 let quantile (d : histo_data) q =
   if q < 0. || q > 1. then invalid_arg "Metrics.quantile: q outside [0, 1]";
   if d.count = 0 then 0.

@@ -2,11 +2,11 @@
 
     Cells are plain mutable records with no locking — lock-free by
     construction because a registry is only ever touched by the domain
-    that owns it. Cross-domain aggregation goes through immutable
-    {!snapshot} values: each worker snapshots its private registry and the
-    supervisor {!merge}s (or {!absorb}s) the snapshots after the join.
-    {!merge} is associative and commutative, so the combined result is
-    independent of worker completion order.
+    that owns it. Aggregation across registries goes through immutable
+    {!snapshot} values: each fleet worker ships a snapshot of its own
+    registry and the coordinator {!merge}s them. {!merge} is associative
+    and commutative, so the combined result is independent of arrival
+    order.
 
     Update costs: counter/gauge — one float store; histogram — a linear
     scan over a handful of buckets. Cheap enough for the Monte Carlo hot
@@ -66,12 +66,6 @@ val merge : snapshot -> snapshot -> snapshot
     add element-wise (same buckets required), help strings keep the
     lexicographic max. Associative and commutative. Raises
     [Invalid_argument] on a kind or bucket mismatch for a shared name. *)
-
-val absorb : registry -> snapshot -> unit
-(** Fold a snapshot into a live registry (counter adds, gauge max,
-    histogram element-wise adds), registering any names it does not have
-    yet. [absorb r s] leaves [r]'s snapshot equal to
-    [merge (snapshot r) s]. *)
 
 val quantile : histo_data -> float -> float
 (** Histogram quantile estimate with linear interpolation inside the

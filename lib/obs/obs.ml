@@ -13,19 +13,4 @@ let enabled t = Option.is_some t.metrics || Option.is_some t.tracer || Option.is
 let span t ?cat name f =
   match t.tracer with None -> f () | Some tr -> Span.with_span tr ?cat name f
 
-let fork t ~tid =
-  {
-    metrics = Option.map (fun _ -> Metrics.create ()) t.metrics;
-    tracer = Option.map (fun tr -> Span.create ~capacity:(Span.capacity tr) ~tid ()) t.tracer;
-    progress = None;
-  }
-
-let absorb parent child =
-  (match (parent.metrics, child.metrics) with
-  | Some reg, Some creg -> Metrics.absorb reg (Metrics.snapshot creg)
-  | _ -> ());
-  match (parent.tracer, child.tracer) with
-  | Some tr, Some ctr -> Span.absorb tr ctr
-  | _ -> ()
-
 let emit t p = match t.progress with None -> () | Some sink -> sink p

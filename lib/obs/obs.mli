@@ -4,12 +4,7 @@
     takes one [?obs] parameter. {!disabled} is the default everywhere: an
     instrumentation site on the disabled path costs a single branch on an
     option (plus, for spans, the closure the call site builds) — no
-    registry lookups, no clock reads.
-
-    For multicore runs, {!fork} derives a fresh single-domain handle per
-    worker (private registry + tracer under the worker's [tid]; the
-    progress sink is dropped — interleaved emission is the supervisor's
-    job) and {!absorb} folds the worker handles back after the join. *)
+    registry lookups, no clock reads. *)
 
 type t = {
   metrics : Metrics.registry option;
@@ -28,16 +23,6 @@ val enabled : t -> bool
 
 val span : t -> ?cat:string -> string -> (unit -> 'a) -> 'a
 (** [Span.with_span] when a tracer is attached, plain [f ()] otherwise. *)
-
-val fork : t -> tid:int -> t
-(** Worker-private handle: a fresh registry if the parent has one, a fresh
-    tracer (parent's capacity, the given [tid]) if the parent has one, no
-    progress sink. [fork disabled ~tid] is {!disabled}. *)
-
-val absorb : t -> t -> unit
-(** [absorb parent child] merges the child's registry snapshot and trace
-    events into the parent's corresponding sinks (no-op per sink when
-    either side lacks it). *)
 
 val emit : t -> Progress.point -> unit
 (** Push a convergence point to the progress sink, if any. *)

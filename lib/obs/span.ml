@@ -21,27 +21,20 @@ let create ?(capacity = 65536) ?(tid = 0) () =
   { capacity; tid; ring = Array.make capacity dummy; total = 0; totals = Hashtbl.create 16 }
 
 let tid tr = tr.tid
-let capacity tr = tr.capacity
 
-let push tr ev =
+let record tr ev =
   tr.ring.(tr.total mod tr.capacity) <- ev;
-  tr.total <- tr.total + 1
-
-let bump_totals tr name ~occurrences ~dur_us =
+  tr.total <- tr.total + 1;
   let c, d =
-    match Hashtbl.find_opt tr.totals name with
+    match Hashtbl.find_opt tr.totals ev.ev_name with
     | Some p -> p
     | None ->
         let p = (ref 0, ref 0.) in
-        Hashtbl.replace tr.totals name p;
+        Hashtbl.replace tr.totals ev.ev_name p;
         p
   in
-  c := !c + occurrences;
-  d := !d +. dur_us
-
-let record tr ev =
-  push tr ev;
-  bump_totals tr ev.ev_name ~occurrences:1 ~dur_us:ev.ev_dur_us
+  incr c;
+  d := !d +. ev.ev_dur_us
 
 let with_span tr ?(cat = "fmc") name f =
   let t0 = Clock.now_us () in
@@ -67,12 +60,6 @@ let events tr =
 let totals tr =
   Hashtbl.fold (fun name (c, d) acc -> (name, (!c, !d)) :: acc) tr.totals []
   |> List.sort (fun (a, _) (b, _) -> compare (a : string) b)
-
-let absorb parent child =
-  List.iter (push parent) (events child);
-  Hashtbl.iter
-    (fun name (c, d) -> bump_totals parent name ~occurrences:!c ~dur_us:!d)
-    child.totals
 
 let to_chrome_json evs =
   let buf = Buffer.create 4096 in

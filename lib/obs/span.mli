@@ -1,9 +1,8 @@
 (** Span-based tracing into a fixed-capacity ring buffer, exportable as
     Chrome [trace_event] JSON (loadable in Perfetto / [chrome://tracing]).
 
-    A tracer is single-domain like a metrics registry; parallel workers
-    trace into private tracers (distinct [tid]s) that the supervisor
-    {!absorb}s after the join. The ring keeps the most recent [capacity]
+    A tracer is single-domain like a metrics registry; tracers that share
+    one output use distinct [tid]s. The ring keeps the most recent [capacity]
     spans; per-name aggregate totals are maintained independently, so
     phase timing summaries stay exact even after the ring wraps. *)
 
@@ -22,7 +21,6 @@ val create : ?capacity:int -> ?tid:int -> unit -> tracer
     non-positive capacity. *)
 
 val tid : tracer -> int
-val capacity : tracer -> int
 
 val with_span : tracer -> ?cat:string -> string -> (unit -> 'a) -> 'a
 (** Time [f] and record a completed span (category default ["fmc"]). The
@@ -40,11 +38,6 @@ val events : tracer -> event list
 val totals : tracer -> (string * (int * float)) list
 (** Per span name: (occurrences, total duration in µs), sorted by name;
     exact over the tracer's whole lifetime regardless of ring wraps. *)
-
-val absorb : tracer -> tracer -> unit
-(** [absorb parent child] appends the child's surviving events into the
-    parent ring and folds the child's aggregate totals (including spans
-    the child ring dropped) into the parent's. *)
 
 val to_chrome_json : event list -> string
 (** The Chrome trace_event "JSON object format": complete ([ph:"X"])

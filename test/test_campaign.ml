@@ -59,6 +59,58 @@ let test_campaign_matches_estimate () =
   Alcotest.(check int) "nothing quarantined" 0 (List.length r.Campaign.quarantined);
   check_reports_equal baseline r.Campaign.report
 
+(* An injector that evaluates natively but raises on its [k]-th call. *)
+let crashing_inject ~k =
+  let calls = ref 0 in
+  {
+    Ssf.inj_model = "crash-once";
+    inj_run =
+      (fun engine ?cycle_budget rng sample ->
+        incr calls;
+        if !calls = k then failwith "injected evaluation crash";
+        Engine.run_sample engine ?cycle_budget rng sample);
+    inj_causal = Engine.causal_flips;
+  }
+
+let test_estimate_crash_guard () =
+  (* [Ssf.estimate] and [Campaign.run] share one guarded loop: a crashing
+     evaluation is quarantined by both, with identical reports. *)
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  let est = Ssf.estimate ~inject:(crashing_inject ~k:37) e prep ~samples:200 ~seed:11 in
+  let run =
+    Campaign.run ~config:no_signals ~inject:(crashing_inject ~k:37) e prep ~samples:200 ~seed:11
+  in
+  check_reports_equal est run.Campaign.report;
+  Alcotest.(check int) "one quarantine" 1 est.Ssf.outcomes.Ssf.quarantined;
+  Alcotest.(check int) "from the crash guard" 1 est.Ssf.outcomes.Ssf.q_crashed;
+  Alcotest.(check bool) "upper bound dominates" true (est.Ssf.ssf_upper >= est.Ssf.ssf);
+  Alcotest.(check (list int)) "campaign entry index" [ 37 ]
+    (List.map (fun q -> q.Campaign.q_index) run.Campaign.quarantined)
+
+let test_estimate_until_one_stream () =
+  (* estimate_until extends one stream pass by pass: it simulates exactly
+     the final n, and its report is the one [estimate ~samples:n] gives,
+     also when pass boundaries are not multiples of [trace_every]. *)
+  let e = engine () in
+  let prep = prepare Sampler.default_mixed in
+  List.iter
+    (fun (batch, trace_every) ->
+      let reg = Fmc_obs.Metrics.create () in
+      let obs = Fmc_obs.Obs.create ~metrics:reg () in
+      let r =
+        Ssf.estimate_until ~obs ?trace_every ~causal:false ~batch e prep ~half_width:0.005 ~z:1.96
+          ~seed:5
+      in
+      Alcotest.(check bool) "more than one pass" true (r.Ssf.n > batch);
+      (match List.assoc_opt "fmc_samples_total" (Fmc_obs.Metrics.snapshot reg) with
+      | Some (_, Fmc_obs.Metrics.Counter v) -> exact "samples simulated" (float_of_int r.Ssf.n) v
+      | _ -> Alcotest.fail "fmc_samples_total missing");
+      let direct = Ssf.estimate ?trace_every ~causal:false e prep ~samples:r.Ssf.n ~seed:5 in
+      Alcotest.(check string) "report = estimate at n" (Export.report_json direct)
+        (Export.report_json r))
+    [ (500, None); (130, Some 50) ]
+
 let test_checkpoint_resume_bit_exact () =
   with_tmp "ckpt" @@ fun path ->
   let e = engine () in
@@ -210,34 +262,6 @@ let test_observability_invariance () =
   Alcotest.(check bool) "throughput finite" true
     (Float.is_finite instrumented.Campaign.samples_per_sec)
 
-let test_parallel_obs_merge () =
-  (* Every worker domain observes into a private fork of the handle; the
-     supervisor absorbs them after the join, so the merged metrics cover
-     the whole run and the merged trace interleaves per-worker tids. *)
-  let prep = prepare Sampler.default_mixed in
-  let factory () =
-    Engine.create ~precharac:(Experiments.precharac (Lazy.force ctx)) Programs.illegal_write
-  in
-  let reg = Fmc_obs.Metrics.create () in
-  let tracer = Fmc_obs.Span.create ~capacity:4096 () in
-  let obs = Fmc_obs.Obs.create ~metrics:reg ~tracer () in
-  let baseline =
-    Ssf.estimate_parallel ~domains:2 ~causal:false ~engine_factory:factory prep ~samples:600
-      ~seed:5
-  in
-  let r =
-    Ssf.estimate_parallel ~domains:2 ~causal:false ~obs ~engine_factory:factory prep
-      ~samples:600 ~seed:5
-  in
-  exact "deterministic under obs" baseline.Ssf.ssf r.Ssf.ssf;
-  (match List.assoc_opt "fmc_samples_total" (Fmc_obs.Metrics.snapshot reg) with
-  | Some (_, Fmc_obs.Metrics.Counter v) -> exact "workers' counters merged" 600. v
-  | _ -> Alcotest.fail "fmc_samples_total missing");
-  let tids =
-    List.sort_uniq compare (List.map (fun e -> e.Fmc_obs.Span.ev_tid) (Fmc_obs.Span.events tracer))
-  in
-  Alcotest.(check bool) "per-worker tids present" true (List.length tids >= 1 && List.for_all (fun t -> t >= 1) tids)
-
 let test_corrupt_checkpoint_rejected () =
   with_tmp "corrupt" @@ fun path ->
   let oc = open_out path in
@@ -266,12 +290,13 @@ let () =
       ( "campaign",
         [
           Alcotest.test_case "matches Ssf.estimate" `Slow test_campaign_matches_estimate;
+          Alcotest.test_case "estimate shares the crash guard" `Slow test_estimate_crash_guard;
+          Alcotest.test_case "estimate_until extends one stream" `Slow test_estimate_until_one_stream;
           Alcotest.test_case "checkpoint/resume bit-exact" `Slow test_checkpoint_resume_bit_exact;
           Alcotest.test_case "quarantine accounting" `Slow test_quarantine_accounting;
           Alcotest.test_case "cycle-budget timeout" `Slow test_cycle_budget_timeout;
           Alcotest.test_case "merge pooled ess" `Slow test_merge_reports_pooled_ess;
           Alcotest.test_case "observability invariance" `Slow test_observability_invariance;
-          Alcotest.test_case "parallel obs merge" `Slow test_parallel_obs_merge;
           Alcotest.test_case "dmem power-of-two guard" `Quick test_dmem_power_of_two_guard;
           Alcotest.test_case "corrupt checkpoint rejected" `Quick test_corrupt_checkpoint_rejected;
         ] );
