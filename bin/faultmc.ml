@@ -316,11 +316,11 @@ let status_entry_json (e : Fmc_dist.Protocol.status_entry) =
     e.Fmc_dist.Protocol.st_rate e.Fmc_dist.Protocol.st_eta_s
     (Fmc_obs.Jsonx.escape e.Fmc_dist.Protocol.st_detail)
 
-(* The --http-port scrape endpoint (ISSUE 8): /metrics, /healthz,
-   /readyz, /campaigns (JSON), /campaigns.txt + /workers.txt (the
-   whitespace-separated tables `faultmc top` polls) and /trace (the
-   stitched fleet trace). Route handlers are thunks over the view the
-   coordinator/scheduler hands us via ?on_view — every one
+(* The --http-port scrape endpoint, one route table for serve and
+   sched: /metrics, /healthz, /readyz, /campaigns (JSON), /campaigns.txt
+   + /workers.txt (the whitespace-separated tables `faultmc top` polls)
+   and /trace (the stitched fleet trace). Route handlers are thunks over
+   the view the server hands us via ?on_view — every one
    observation-only. *)
 
 let http_port_arg what =
@@ -348,26 +348,43 @@ let fleet_trace_out_arg =
 
 let bool_json b = if b then "true" else "false"
 
-let coordinator_routes (v : Fmc_dist.Coordinator.view) =
-  let open Fmc_dist.Coordinator in
+let server_routes (v : Fmc_sched.Service.view) =
+  let open Fmc_sched.Sched in
   let health_body () =
     let h = v.vw_health () in
     Printf.sprintf
-      "{\"finished\":%s,\"shards_done\":%d,\"shards_total\":%d,\"in_flight\":%d,\"connected\":%d,\"healthy_workers\":%d,\"breakers_open\":%d,\"leasing_paused\":%s,\"audits_pending\":%d,\"quarantined_workers\":%d}"
-      (bool_json h.h_finished) h.h_shards_done h.h_shards_total h.h_in_flight h.h_connected
-      h.h_healthy_workers h.h_breakers_open (bool_json h.h_leasing_paused) h.h_audits_pending
-      h.h_quarantined_workers
+      "{\"finished\":%s,\"draining\":%s,\"queue_depth\":%d,\"shards_done\":%d,\"shards_total\":%d,\"in_flight\":%d,\"connected\":%d,\"healthy_workers\":%d,\"breakers_open\":%d,\"leasing_paused\":%s,\"audits_pending\":%d,\"quarantined_workers\":%d,\"wal_torn\":%d}"
+      (bool_json h.h_finished) (bool_json h.h_draining) h.h_queue_depth h.h_shards_done
+      h.h_shards_total h.h_in_flight h.h_connected h.h_healthy_workers h.h_breakers_open
+      (bool_json h.h_leasing_paused) h.h_audits_pending h.h_quarantined_workers h.h_wal_torn
   in
   let workers_txt () =
     let b = Buffer.create 256 in
-    Buffer.add_string b "# worker breaker conns samples_per_sec spans last_wall quarantined mismatches\n";
+    Buffer.add_string b
+      "# worker breaker conns samples_per_sec spans last_wall quarantined mismatches trace\n";
     List.iter
-      (fun w ->
+      (fun (w : Fmc_sched.Service.worker_view) ->
+        let breaker, conns, rate, quarantined, mismatches =
+          match w.w_health with
+          | Some wh ->
+              ( breaker_state_name wh.wh_breaker,
+                wh.wh_connections,
+                wh.wh_rate,
+                (if wh.wh_quarantined then "yes" else "no"),
+                wh.wh_mismatches )
+          | None -> ("-", 0, 0., "no", 0)
+        in
+        let spans, last_wall, trace =
+          match w.w_fleet with
+          | Some fi ->
+              ( fi.Fmc_obs.Fleet.wi_span_count,
+                fi.Fmc_obs.Fleet.wi_last_wall,
+                if fi.Fmc_obs.Fleet.wi_trace_id = "" then "-" else fi.Fmc_obs.Fleet.wi_trace_id )
+          | None -> (0, 0., "-")
+        in
         Buffer.add_string b
-          (Printf.sprintf "%s %s %d %.1f %d %.3f %s %d\n" w.w_name
-             (breaker_state_name w.w_breaker) w.w_connections w.w_rate w.w_spans w.w_last_wall
-             (if w.w_quarantined then "yes" else "no")
-             w.w_mismatches))
+          (Printf.sprintf "%s %s %d %.1f %d %.3f %s %d %s\n" w.w_name breaker conns rate spans
+             last_wall quarantined mismatches trace))
       (v.vw_workers ());
     Buffer.contents b
   in
@@ -377,42 +394,7 @@ let coordinator_routes (v : Fmc_dist.Coordinator.view) =
     ( "/readyz",
       fun () ->
         let h = v.vw_health () in
-        let status = if h.h_leasing_paused then 503 else 200 in
-        Fmc_obs.Httpd.json ~status (health_body ()) );
-    ("/campaigns", fun () -> Fmc_obs.Httpd.json ("[" ^ status_entry_json (v.vw_status ()) ^ "]"));
-    ( "/campaigns.txt",
-      fun () -> Fmc_obs.Httpd.text (Format.asprintf "%a@." render_status_entry (v.vw_status ())) );
-    ("/workers.txt", fun () -> Fmc_obs.Httpd.text (workers_txt ()));
-    ("/trace", fun () -> Fmc_obs.Httpd.json (v.vw_trace_json ()));
-  ]
-
-let scheduler_routes (v : Fmc_sched.Service.view) =
-  let open Fmc_sched.Service in
-  let health_body () =
-    let h = v.vw_health () in
-    Printf.sprintf
-      "{\"draining\":%s,\"queue_depth\":%d,\"in_flight\":%d,\"connected\":%d,\"wal_torn\":%d}"
-      (bool_json h.h_draining) h.h_queue_depth h.h_in_flight h.h_connected h.h_wal_torn
-  in
-  let workers_txt () =
-    let b = Buffer.create 256 in
-    Buffer.add_string b "# worker spans last_wall trace\n";
-    List.iter
-      (fun (name, (wi : Fmc_obs.Fleet.worker_info)) ->
-        Buffer.add_string b
-          (Printf.sprintf "%s %d %.3f %s\n" name wi.Fmc_obs.Fleet.wi_span_count
-             wi.Fmc_obs.Fleet.wi_last_wall
-             (if wi.Fmc_obs.Fleet.wi_trace_id = "" then "-" else wi.Fmc_obs.Fleet.wi_trace_id)))
-      (v.vw_workers ());
-    Buffer.contents b
-  in
-  [
-    ("/metrics", fun () -> Fmc_obs.Httpd.text (v.vw_metrics ()));
-    ("/healthz", fun () -> Fmc_obs.Httpd.json (health_body ()));
-    ( "/readyz",
-      fun () ->
-        let h = v.vw_health () in
-        let status = if h.h_draining then 503 else 200 in
+        let status = if h.h_draining || h.h_leasing_paused then 503 else 200 in
         Fmc_obs.Httpd.json ~status (health_body ()) );
     ( "/campaigns",
       fun () ->
@@ -1352,20 +1334,11 @@ let audit_rate_arg =
            Selection is a pure function of the campaign fingerprint — restart-stable, and \
            consuming zero engine-stream randomness. 0 disables auditing.")
 
-let speculate_factor_arg =
-  Arg.(
-    value & opt float 0.
-    & info [ "speculate-factor" ] ~docv:"K"
-        ~doc:
-          "Straggler speculation: duplicate a leased shard onto an idle worker once its holder's \
-           projected completion exceeds $(docv) times the fleet's per-shard EWMA. First valid \
-           result wins; the loser is fenced by the lease epoch. 0 disables.")
-
 let serve_cmd =
   let run benchmark strategy samples seed addr shard_size ttl linger max_idle checkpoint
       sample_budget require_workers io_deadline breaker_failures breaker_cooldown audit_rate
-      speculate_factor chaos_plan chaos_seed chaos_log http_port fleet_trace_out json fault_model
-      metrics_out trace_out =
+      chaos_plan chaos_seed chaos_log http_port fleet_trace_out json fault_model metrics_out
+      trace_out =
     let model = fault_model_of_arg_or_die fault_model in
     let obs = fleet_obs ~progress:`Off in
     let plan =
@@ -1374,16 +1347,16 @@ let serve_cmd =
         Format.eprintf "faultmc: %s@." msg;
         exit 2
     in
-    let fingerprint =
-      dist_fingerprint
+    let spec =
+      spec_of_args
         ~fault_model:(Fmc_fault.Model.canonical model)
         ~benchmark ~strategy ~samples ~seed ~shard_size ~sample_budget ()
     in
     if not json then
       Format.fprintf ppf "serving %d samples as %d shard(s) of <=%d on %s@." samples
         (Array.length plan) shard_size (Fmc_dist.Wire.addr_to_string addr);
-    (* Under --chaos-plan the coordinator binds a private Unix socket and
-       the fault-injection proxy takes over the public address, so every
+    (* Under --chaos-plan the server binds a private Unix socket and the
+       fault-injection proxy takes over the public address, so every
        worker byte crosses the chaos layer. *)
     let listen_addr, stop_chaos =
       match chaos_plan with
@@ -1395,56 +1368,64 @@ let serve_cmd =
           (hidden, start_chaos_proxy ~obs ~plan:cplan ~seed:chaos_seed ~log ~close_log
                      ~public:addr ~upstream:hidden)
     in
+    (* One campaign from the command line: no WAL, no signal-driven
+       drain; the checkpoint file is the only durable state. *)
     let config =
       {
-        Fmc_dist.Coordinator.addr = listen_addr;
-        ttl_s = ttl;
-        checkpoint_path = checkpoint;
-        linger_s = linger;
+        Fmc_sched.Service.addr = listen_addr;
+        store = Fmc_sched.Sched.Campaign { spec; checkpoint };
+        sched =
+          {
+            Fmc_sched.Sched.default_config with
+            ttl_s = ttl;
+            audit_rate;
+            breaker =
+              { Fmc_dist.Breaker.failure_threshold = breaker_failures; cooldown_s = breaker_cooldown };
+            require_workers;
+            linger_s = linger;
+            max_idle_s = max_idle;
+          };
         io_deadline_s = io_deadline;
-        require_workers;
-        max_idle_s = max_idle;
-        breaker =
-          { Fmc_dist.Breaker.failure_threshold = breaker_failures; cooldown_s = breaker_cooldown };
-        audit_rate;
-        speculate_factor;
+        handle_signals = false;
       }
     in
     let endpoint = ref None in
     let fleet_view = ref None in
-    let on_view (v : Fmc_dist.Coordinator.view) =
+    let on_view (v : Fmc_sched.Service.view) =
       fleet_view := Some v;
       endpoint :=
-        start_endpoint ?registry:obs.Fmc_obs.Obs.metrics ~what:"coordinator"
-          ~routes:(coordinator_routes v) http_port
+        start_endpoint ?registry:obs.Fmc_obs.Obs.metrics ~what:"campaign server"
+          ~routes:(server_routes v) http_port
     in
     let finish_observability () =
       stop_endpoint !endpoint;
       write_fleet_trace ~fleet_trace_out
-        (Option.map (fun v -> v.Fmc_dist.Coordinator.vw_trace_json) !fleet_view)
+        (Option.map (fun v -> v.Fmc_sched.Service.vw_trace_json) !fleet_view);
+      stop_chaos ()
     in
     let outcome =
-      match Fmc_dist.Coordinator.serve ~obs ~on_view config ~fingerprint ~plan with
+      match Fmc_sched.Service.serve ~obs ~on_view config with
       | outcome ->
           finish_observability ();
-          stop_chaos ();
           outcome
-      | exception Failure msg ->
+      | exception (Failure msg | Invalid_argument msg) ->
           finish_observability ();
-          stop_chaos ();
           Format.eprintf "faultmc: %s@." msg;
           exit 2
     in
-    match
-      Fmc_dist.Merge.report_of_blobs
-        ~strategy:(Fmc.Sampler.strategy_name strategy)
-        outcome.Fmc_dist.Coordinator.oc_shards
-    with
+    let shards, quarantined, elapsed =
+      match outcome.Fmc_sched.Service.sv_report with
+      | Some report -> report
+      | None ->
+          Format.eprintf "faultmc: the campaign stopped before its report was final@.";
+          exit 1
+    in
+    match Fmc_dist.Merge.report_of_blobs ~strategy:(Fmc.Sampler.strategy_name strategy) shards with
     | Error msg ->
         Format.eprintf "faultmc: %s@." msg;
         exit 1
     | Ok report ->
-        let q = List.length outcome.Fmc_dist.Coordinator.oc_quarantined in
+        let q = List.length quarantined in
         if q > 0 then Format.eprintf "%d sample(s) quarantined@." q;
         if json then print_endline (Fmc.Export.report_json report)
         else begin
@@ -1452,8 +1433,7 @@ let serve_cmd =
             Fmc.Report.ssf_report report;
           let lo, hi = Fmc.Ssf.confidence_interval report ~z:1.96 in
           Format.fprintf ppf "95%% confidence interval: [%.5f, %.5f]@." lo hi;
-          Format.fprintf ppf "campaign wall clock: %.2f s@."
-            outcome.Fmc_dist.Coordinator.oc_elapsed_s
+          Format.fprintf ppf "campaign wall clock: %.2f s@." elapsed
         end;
         flush_obs_outputs ~metrics_out ~trace_out obs;
         0
@@ -1496,7 +1476,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "checkpoint" ] ~docv:"FILE"
           ~doc:
-            "Durable coordinator state, written after every accepted shard; restarting with a \
+            "Durable campaign state, written after every accepted shard; restarting with a \
              matching campaign resumes without re-running finished shards.")
   in
   let sample_budget =
@@ -1547,7 +1527,7 @@ let serve_cmd =
     Term.(
       const run $ benchmark_arg $ strategy_arg $ samples_arg 5000 $ seed_arg $ addr
       $ shard_size_arg $ ttl $ linger $ max_idle $ checkpoint $ sample_budget $ require_workers
-      $ io_deadline $ breaker_failures $ breaker_cooldown $ audit_rate_arg $ speculate_factor_arg
+      $ io_deadline $ breaker_failures $ breaker_cooldown $ audit_rate_arg
       $ chaos_plan_arg "coordinator" $ chaos_seed_arg $ chaos_log_arg $ http_port_arg "campaign"
       $ fleet_trace_out_arg $ json $ fault_model_arg $ metrics_out_arg $ trace_out_arg)
 
@@ -1734,8 +1714,7 @@ let client_config addr =
 
 let sched_cmd =
   let run addr state_dir queue_depth ttl wall_budget retry_after max_idle io_deadline audit_rate
-      speculate_factor chaos_plan chaos_seed chaos_log http_port fleet_trace_out metrics_out
-      trace_out =
+      chaos_plan chaos_seed chaos_log http_port fleet_trace_out metrics_out trace_out =
     let obs = fleet_obs ~progress:`Off in
     (* Under --chaos-plan the scheduler binds a private Unix socket and
        the fault-injection proxy takes over the public address, exactly
@@ -1753,7 +1732,7 @@ let sched_cmd =
     let config =
       {
         Fmc_sched.Service.addr = listen_addr;
-        state_dir;
+        store = Fmc_sched.Sched.Queue state_dir;
         sched =
           {
             Fmc_sched.Sched.default_config with
@@ -1762,9 +1741,8 @@ let sched_cmd =
             wall_budget_s = wall_budget;
             retry_after_s = retry_after;
             audit_rate;
-            speculate_factor;
+            max_idle_s = max_idle;
           };
-        max_idle_s = max_idle;
         io_deadline_s = io_deadline;
         handle_signals = true;
       }
@@ -1776,7 +1754,7 @@ let sched_cmd =
       fleet_view := Some v;
       endpoint :=
         start_endpoint ?registry:obs.Fmc_obs.Obs.metrics ~what:"scheduler"
-          ~routes:(scheduler_routes v) http_port
+          ~routes:(server_routes v) http_port
     in
     let finish_observability () =
       stop_endpoint !endpoint;
@@ -1789,7 +1767,7 @@ let sched_cmd =
         Format.fprintf ppf "scheduler exiting: %s@."
           (match outcome.Fmc_sched.Service.sv_reason with
           | Fmc_sched.Service.Drained -> "drained"
-          | Fmc_sched.Service.Idle -> "idle past --max-idle");
+          | Fmc_sched.Service.Idle | Fmc_sched.Service.Finished -> "idle past --max-idle");
         finish_observability ();
         flush_obs_outputs ~metrics_out ~trace_out obs;
         0
@@ -1868,7 +1846,7 @@ let sched_cmd =
           and overload shedding.")
     Term.(
       const run $ addr $ state_dir $ queue_depth $ ttl $ wall_budget $ retry_after $ max_idle
-      $ io_deadline $ audit_rate_arg $ speculate_factor_arg $ chaos_plan_arg "scheduler"
+      $ io_deadline $ audit_rate_arg $ chaos_plan_arg "scheduler"
       $ chaos_seed_arg $ chaos_log_arg $ http_port_arg "fleet" $ fleet_trace_out_arg
       $ metrics_out_arg $ trace_out_arg)
 
@@ -2329,7 +2307,7 @@ let top_cmd =
               ("fmc_sva_prune_ratio", "prune ratio");
               ("fmc_dist_leasing_paused", "leasing paused");
               ("fmc_dist_reconnects_total", "worker reconnects");
-              ("fmc_dist_lease_expirations_total", "lease expiries");
+              ("fmc_dist_leases_expired_total", "lease expiries");
               ("fmc_sched_wal_torn_records_total", "torn WAL records");
             ]
           in

@@ -131,7 +131,7 @@ let lie_rewrite frame =
         let mutated = Bytes.of_string payload in
         Bytes.set mutated idx (Char.chr (Char.code (Bytes.get mutated idx) lxor 1));
         let mutated = Bytes.unsafe_to_string mutated in
-        let crc = Fmc_dist.Crc32.extend (Fmc_dist.Crc32.string (String.make 1 tag)) mutated in
+        let crc = Crc32.extend (Crc32.string (String.make 1 tag)) mutated in
         Bytes.blit_string mutated 0 frame 9 (String.length mutated);
         put_u32 frame 5 crc;
         Some idx
@@ -282,6 +282,12 @@ let handle_client t client =
             closed := true;
             Mutex.unlock cm;
             if first then begin
+              (* [close] alone does not wake the other pump, blocked in
+                 [read] on the same socket; [shutdown] does, so both
+                 peers see EOF now rather than at their io deadline. *)
+              List.iter
+                (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+                [ client; server ];
               close_quietly client;
               close_quietly server
             end

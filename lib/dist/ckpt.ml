@@ -79,7 +79,7 @@ let save ~path state =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc body;
-      Printf.fprintf oc "crc %08x\n" (Crc32.string body);
+      Printf.fprintf oc "crc %08x\n" (Fmc_prelude.Crc32.string body);
       flush oc);
   Sys.rename tmp path
 
@@ -105,7 +105,7 @@ let verify_trailer raw =
     | _ -> bad "truncated: missing CRC trailer (last line %S)" trailer
   in
   let body = String.sub raw 0 tl_start in
-  let computed = Crc32.string body in
+  let computed = Fmc_prelude.Crc32.string body in
   if computed <> stored then
     bad "CRC mismatch: stored %08x, computed %08x (truncated or corrupted)" stored computed;
   body

@@ -11,21 +11,13 @@
 
    The table is pure state over an injected clock (`now` parameters), so
    the fencing logic is unit-testable without timers. Thread safety is
-   the caller's job (the coordinator holds its mutex around calls). *)
+   the caller's job (the scheduler service holds its mutex around calls). *)
 
 type assignment = { shard : int; epoch : int; start : int; len : int }
 
 type slot =
   | Unleased
-  | Leased of {
-      epoch : int;
-      worker : string;
-      deadline : float;
-      spare : (int * string * float) option;
-          (* speculative duplicate (epoch, worker, deadline): a second
-             live lease on the same shard, under its own (higher) epoch.
-             First valid completion wins; the other fences as stale. *)
-    }
+  | Leased of { epoch : int; worker : string; deadline : float }
   | Done of { epoch : int }
 
 type t = {
@@ -59,25 +51,9 @@ let sweep_expired t ~now =
   Array.iteri
     (fun i slot ->
       match slot with
-      | Leased l ->
-          (* Expire the speculative duplicate independently of the
-             primary; a live spare is promoted when the primary dies. *)
-          let spare =
-            match l.spare with
-            | Some (_, w, d) when d < now ->
-                expired := (i, w) :: !expired;
-                None
-            | s -> s
-          in
-          if l.deadline < now then begin
-            expired := (i, l.worker) :: !expired;
-            t.slots.(i) <-
-              (match spare with
-              | Some (epoch, worker, deadline) ->
-                  Leased { epoch; worker; deadline; spare = None }
-              | None -> Unleased)
-          end
-          else if spare != l.spare then t.slots.(i) <- Leased { l with spare }
+      | Leased l when l.deadline < now ->
+          expired := (i, l.worker) :: !expired;
+          t.slots.(i) <- Unleased
       | _ -> ())
     t.slots;
   List.rev !expired
@@ -97,7 +73,7 @@ let acquire t ~now ~worker =
     | Some i ->
         let epoch = t.epochs.(i) + 1 in
         t.epochs.(i) <- epoch;
-        t.slots.(i) <- Leased { epoch; worker; deadline = now +. t.ttl; spare = None };
+        t.slots.(i) <- Leased { epoch; worker; deadline = now +. t.ttl };
         let start, len = t.plan.(i) in
         `Assign { shard = i; epoch; start; len }
   end
@@ -109,9 +85,6 @@ let heartbeat t ~now ~shard ~epoch =
     | Leased l when l.epoch = epoch ->
         t.slots.(shard) <- Leased { l with deadline = now +. t.ttl };
         `Ok
-    | Leased ({ spare = Some (e, w, _); _ } as l) when e = epoch ->
-        t.slots.(shard) <- Leased { l with spare = Some (e, w, now +. t.ttl) };
-        `Ok
     | _ -> `Stale
 
 let complete t ~shard ~epoch =
@@ -119,12 +92,6 @@ let complete t ~shard ~epoch =
   else
     match t.slots.(shard) with
     | Leased { epoch = e; _ } when e = epoch ->
-        t.slots.(shard) <- Done { epoch };
-        t.done_count <- t.done_count + 1;
-        `Accepted
-    | Leased { spare = Some (e, _, _); _ } when e = epoch ->
-        (* The speculative duplicate finished first; the straggling
-           primary now fences as stale. *)
         t.slots.(shard) <- Done { epoch };
         t.done_count <- t.done_count + 1;
         `Accepted
@@ -161,49 +128,13 @@ let reopen t ~shard =
   | Unleased | Leased _ -> ()
 
 let release t ~shard ~epoch =
-  if shard < 0 || shard >= total t then ()
-  else
+  if shard >= 0 && shard < total t then
     match t.slots.(shard) with
-    | Leased l when l.epoch = epoch ->
-        t.slots.(shard) <-
-          (match l.spare with
-          | Some (epoch, worker, deadline) ->
-              Leased { epoch; worker; deadline; spare = None }
-          | None -> Unleased)
-    | Leased ({ spare = Some (e, _, _); _ } as l) when e = epoch ->
-        t.slots.(shard) <- Leased { l with spare = None }
+    | Leased l when l.epoch = epoch -> t.slots.(shard) <- Unleased
     | _ -> ()
 
 let release_worker t ~worker =
-  let released = ref [] in
   Array.iteri
     (fun i slot ->
-      match slot with
-      | Leased l ->
-          let spare =
-            match l.spare with Some (_, w, _) when w = worker -> None | s -> s
-          in
-          if l.worker = worker then begin
-            released := i :: !released;
-            t.slots.(i) <-
-              (match spare with
-              | Some (epoch, worker, deadline) ->
-                  Leased { epoch; worker; deadline; spare = None }
-              | None -> Unleased)
-          end
-          else if spare != l.spare then t.slots.(i) <- Leased { l with spare }
-      | _ -> ())
-    t.slots;
-  List.rev !released
-
-let speculate t ~now ~shard ~worker =
-  if shard < 0 || shard >= total t then None
-  else
-    match t.slots.(shard) with
-    | Leased l when l.spare = None && l.worker <> worker ->
-        let epoch = t.epochs.(shard) + 1 in
-        t.epochs.(shard) <- epoch;
-        t.slots.(shard) <- Leased { l with spare = Some (epoch, worker, now +. t.ttl) };
-        let start, len = t.plan.(shard) in
-        Some { shard; epoch; start; len }
-    | _ -> None
+      match slot with Leased l when l.worker = worker -> t.slots.(i) <- Unleased | _ -> ())
+    t.slots

@@ -8,7 +8,7 @@
 
     Time is injected ([now] parameters, same clock everywhere), making
     the fencing logic deterministic under test. Not thread-safe: the
-    coordinator serializes access under its state mutex. *)
+    scheduler's service serializes access under its state mutex. *)
 
 type assignment = { shard : int; epoch : int; start : int; len : int }
 
@@ -41,7 +41,7 @@ val sweep : t -> now:float -> int
 
 val sweep_expired : t -> now:float -> (int * string) list
 (** Like {!sweep}, but returns the expired [(shard, holding worker)]
-    pairs so the coordinator can charge the heartbeat gap to the right
+    pairs so the scheduler can charge the heartbeat gap to the right
     worker's circuit breaker. *)
 
 val force_complete : t -> shard:int -> unit
@@ -72,17 +72,8 @@ val reopen : t -> shard:int -> unit
 
 val release : t -> shard:int -> epoch:int -> unit
 (** Drop the live lease matching [epoch] without expiring it (its
-    holder sent a corrupt or digest-mismatched result). A primary
-    release promotes any live speculative duplicate; a spare release
-    just drops the spare. No-op on a non-matching epoch. *)
+    holder sent a corrupt or digest-mismatched result). No-op on a
+    non-matching epoch. *)
 
-val release_worker : t -> worker:string -> int list
-(** Release every lease (primary or spare) held by [worker] —
-    quarantine path. Returns the shards whose primary lease dropped. *)
-
-val speculate : t -> now:float -> shard:int -> worker:string -> assignment option
-(** Open a speculative duplicate lease on a shard whose primary holder
-    is straggling: a second worker runs the same shard under a fresh
-    epoch, first valid completion wins, the loser fences as stale
-    (DESIGN.md §16). [None] if the shard is not leased, already has a
-    spare, or [worker] is the primary holder. *)
+val release_worker : t -> worker:string -> unit
+(** Release every lease held by [worker] — quarantine path. *)

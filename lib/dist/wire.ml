@@ -84,6 +84,8 @@ let rec read_all fd buf off len =
     if n < 0 then read_all fd buf off len else read_all fd buf (off + n) (len - n)
   end
 
+module Crc32 = Fmc_prelude.Crc32
+
 let put_u32 buf off v = Bytes.set_int32_be buf off (Int32.of_int v)
 let get_u32 buf off = Int32.to_int (Bytes.get_int32_be buf off) land 0xffffffff
 

@@ -1,19 +1,19 @@
-(* The multi-campaign scheduler core (DESIGN.md §12): a durable
-   submission queue keyed by campaign fingerprint, one lease table per
-   campaign, round-robin shard dispatch across every active campaign,
-   and report caching.
+(* The fleet server's core (DESIGN.md §12): campaigns keyed by
+   fingerprint, one lease table per campaign, round-robin shard dispatch
+   across every active campaign, result auditing, per-worker circuit
+   breakers, and report caching.
 
-   Durability is split between two artifacts, each reusing an existing
-   codec:
+   Durability depends on the store:
 
-     <dir>/wal/seg-*.wal      the queue itself (Wal): which campaigns
-                              were submitted, finished, parked or
-                              cancelled — idempotent records, replayed
-                              and compacted at startup;
-     <dir>/campaigns/<md5>.ckpt
-                              per-campaign progress (Fmc_dist.Ckpt v2):
-                              every accepted shard blob, written after
-                              each completion.
+     Queue dir    [faultmc sched]: the queue itself lives in a WAL
+                  (<dir>/wal/seg-*.wal: submitted, finished, parked,
+                  cancelled, quarantined — idempotent records, replayed
+                  and compacted at startup) and each campaign's progress
+                  in <dir>/campaigns/<md5>.ckpt (Fmc_dist.Ckpt);
+     Campaign     [faultmc serve]: one campaign fixed by the command
+                  line, so there is no queue to log; its progress (and
+                  any quarantined workers) go to the optional checkpoint
+                  file alone.
 
    kill -9 recovery is therefore: replay the WAL to rebuild the queue in
    submission order, then reattach each campaign's checkpoint to seed
@@ -24,14 +24,14 @@
    (seed, shard), so re-running them reproduces the identical report.
 
    Nothing here reads the wall clock or takes locks: every operation is
-   given [now] and the service serializes calls under its own mutex,
-   the same split Lease and Coordinator use. *)
+   given [now], and the service feeds connection events in and
+   serializes calls under its own mutex. *)
 
 open Fmc
 module Protocol = Fmc_dist.Protocol
 module Lease = Fmc_dist.Lease
 module Ckpt = Fmc_dist.Ckpt
-module Crc32 = Fmc_dist.Crc32
+module Breaker = Fmc_dist.Breaker
 module Audit = Fmc_audit.Audit
 module Obs = Fmc_obs.Obs
 module Metrics = Fmc_obs.Metrics
@@ -45,7 +45,10 @@ type config = {
   retry_after_s : float;  (* resubmission hint in admission rejections *)
   rate_halflife_s : float;  (* pool throughput EWMA window *)
   audit_rate : float;  (* fraction of accepted shards re-executed (DESIGN.md §16); 0 = off *)
-  speculate_factor : float;  (* straggler duplication threshold over the shard EWMA; 0 = off *)
+  breaker : Breaker.config;  (* per-worker circuit breaker *)
+  require_workers : int;  (* pause leasing below this many healthy workers; 0 = off *)
+  linger_s : float;  (* Campaign store: keep serving this long after the report is final *)
+  max_idle_s : float;  (* idle exit (Queue) or abandonment (Campaign); 0 = never *)
 }
 
 let default_config =
@@ -56,25 +59,42 @@ let default_config =
     retry_after_s = 5.;
     rate_halflife_s = 30.;
     audit_rate = 0.;
-    speculate_factor = 0.;
+    breaker = Breaker.default_config;
+    require_workers = 0;
+    linger_s = 5.;
+    max_idle_s = 0.;
   }
 
-type phase = Active | Finished | Parked of string | Cancelled
+type store = Queue of string | Campaign of { spec : Protocol.spec; checkpoint : string option }
+
+type stop_reason = Drained | Idle | Finished
+
+type phase = Active | Done | Parked of string | Cancelled
 
 type entry = {
   spec : Protocol.spec;
   fp : string;
-  key : string;  (* md5 hex of fp: checkpoint filename *)
+  ckpt : string option;  (* progress file, rewritten after every accepted shard *)
   plan : (int * int) array;
   lease : Lease.t;
   blobs : (int, string) Hashtbl.t;
   quarantines : (int, Campaign.quarantine_entry list) Hashtbl.t;  (* by producing shard *)
   mutable audit : Audit.t;  (* replaced wholesale on checkpoint reattach *)
-  assigned_at : (int, float * string) Hashtbl.t;  (* shard -> (lease t0, holder) *)
+  assigned_at : (int, float) Hashtbl.t;  (* shard -> primary lease time *)
   mutable phase : phase;
   mutable started_at : float option;
   mutable done_samples : int;
-  mutable elapsed_s : float;  (* start-to-finish wall clock, once Finished *)
+  mutable elapsed_s : float;  (* start-to-finish wall clock, once Done *)
+}
+
+(* Everything the server knows about one worker name. Entries live for
+   the whole run: a worker's bad reputation survives its reconnects. *)
+type worker = {
+  breaker : Breaker.t;
+  mutable conns : int;  (* live post-Hello connections *)
+  mutable strikes : int;  (* digest mismatches; three quarantine *)
+  mutable beat : (float * int * int * int) option;  (* last heartbeat: now, shard, epoch, samples *)
+  mutable rate : float;  (* samples/s between the last two heartbeats *)
 }
 
 type mx = {
@@ -91,66 +111,69 @@ type mx = {
   running : Metrics.gauge option;
   in_flight : Metrics.gauge option;
   wal_fsync : Metrics.histogram option;
+  leases_issued : Metrics.counter option;
+  leases_expired : Metrics.counter option;
+  stale_results : Metrics.counter option;
+  shards_completed : Metrics.counter option;
+  heartbeats : Metrics.counter option;
+  frames_corrupt : Metrics.counter option;
+  breaker_trips : Metrics.counter option;
+  circuit_open : Metrics.gauge option;
+  leasing_paused : Metrics.gauge option;
+  roundtrip : Metrics.histogram option;
   audits : Metrics.counter option;
   audit_mismatches : Metrics.counter option;
   audit_disputes : Metrics.counter option;
   audit_invalidated : Metrics.counter option;
-  audit_speculations : Metrics.counter option;
   audit_quarantined : Metrics.gauge option;
 }
 
 let mx_create (obs : Obs.t) =
-  match obs.Obs.metrics with
-  | None ->
-      {
-        submissions = None;
-        rejected = None;
-        cache_hits = None;
-        recoveries = None;
-        finished = None;
-        parked = None;
-        cancelled = None;
-        wal_records = None;
-        wal_torn = None;
-        q_depth = None;
-        running = None;
-        in_flight = None;
-        wal_fsync = None;
-        audits = None;
-        audit_mismatches = None;
-        audit_disputes = None;
-        audit_invalidated = None;
-        audit_speculations = None;
-        audit_quarantined = None;
-      }
-  | Some r ->
-      let c help name = Some (Metrics.counter r ~help name) in
-      let g help name = Some (Metrics.gauge r ~help name) in
-      {
-        submissions = c "campaign submissions accepted" "fmc_sched_submissions_total";
-        rejected = c "submissions refused by admission control" "fmc_sched_rejected_total";
-        cache_hits = c "submissions answered from the report cache" "fmc_sched_cache_hits_total";
-        recoveries = c "campaigns recovered from WAL + checkpoints" "fmc_sched_recoveries_total";
-        finished = c "campaigns run to completion" "fmc_sched_campaigns_finished_total";
-        parked = c "campaigns parked by quarantine policy" "fmc_sched_parked_total";
-        cancelled = c "campaigns cancelled by request" "fmc_sched_cancelled_total";
-        wal_records = c "intact WAL records replayed at startup" "fmc_sched_wal_records_total";
-        wal_torn = c "torn WAL tails detected at startup" "fmc_sched_wal_torn_records_total";
-        q_depth = g "campaigns queued or running" "fmc_sched_queue_depth";
-        running = g "campaigns with completed or in-flight shards" "fmc_sched_campaigns_running";
-        in_flight = g "shard leases currently live across campaigns" "fmc_sched_shards_in_flight";
-        wal_fsync =
-          Some
-            (Metrics.histogram r ~help:"durable WAL append latency (write + fsync)"
-               ~buckets:[| 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1. |]
-               "fmc_sched_wal_fsync_seconds");
-        audits = c "audit re-executions leased" "fmc_audit_audits_total";
-        audit_mismatches = c "shard results whose digest failed verification" "fmc_audit_mismatches_total";
-        audit_disputes = c "audits escalated to a third arbitrating execution" "fmc_audit_disputes_total";
-        audit_invalidated = c "accepted shards invalidated by a quarantine" "fmc_audit_invalidated_total";
-        audit_speculations = c "speculative duplicate leases issued" "fmc_audit_speculations_total";
-        audit_quarantined = g "workers quarantined by audit verdicts" "fmc_audit_quarantined_workers";
-      }
+  let reg = obs.Obs.metrics in
+  let c help name = Option.map (fun r -> Metrics.counter r ~help name) reg in
+  let g help name = Option.map (fun r -> Metrics.gauge r ~help name) reg in
+  let h help buckets name = Option.map (fun r -> Metrics.histogram r ~help ~buckets name) reg in
+  {
+    submissions = c "campaign submissions accepted" "fmc_sched_submissions_total";
+    rejected = c "submissions refused by admission control" "fmc_sched_rejected_total";
+    cache_hits = c "submissions answered from the report cache" "fmc_sched_cache_hits_total";
+    recoveries = c "campaigns recovered from WAL + checkpoints" "fmc_sched_recoveries_total";
+    finished = c "campaigns run to completion" "fmc_sched_campaigns_finished_total";
+    parked = c "campaigns parked by quarantine policy" "fmc_sched_parked_total";
+    cancelled = c "campaigns cancelled by request" "fmc_sched_cancelled_total";
+    wal_records = c "intact WAL records replayed at startup" "fmc_sched_wal_records_total";
+    wal_torn = c "torn WAL tails detected at startup" "fmc_sched_wal_torn_records_total";
+    q_depth = g "campaigns queued or running" "fmc_sched_queue_depth";
+    running = g "campaigns with completed or in-flight shards" "fmc_sched_campaigns_running";
+    in_flight = g "shard leases currently live across campaigns" "fmc_sched_shards_in_flight";
+    wal_fsync =
+      h "durable WAL append latency (write + fsync)"
+        [| 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1. |]
+        "fmc_sched_wal_fsync_seconds";
+    leases_issued = c "shard leases handed out" "fmc_dist_leases_issued_total";
+    leases_expired = c "leases lost to missed heartbeats" "fmc_dist_leases_expired_total";
+    stale_results = c "shard results rejected by epoch fencing" "fmc_dist_stale_results_total";
+    shards_completed = c "shard results accepted into the merge" "fmc_dist_shards_completed_total";
+    heartbeats = c "heartbeats received" "fmc_dist_heartbeats_total";
+    frames_corrupt =
+      c "frames dropped for CRC or framing violations" "fmc_dist_frames_corrupt_total";
+    breaker_trips = c "circuit-breaker open transitions" "fmc_dist_breaker_opened_total";
+    circuit_open = g "workers behind an open circuit breaker" "fmc_dist_circuit_open";
+    leasing_paused =
+      g "1 while leasing is paused below the require-workers floor" "fmc_dist_leasing_paused";
+    roundtrip =
+      h "lease-to-accepted latency per shard"
+        [| 0.05; 0.1; 0.25; 0.5; 1.; 2.5; 5.; 10.; 30.; 60.; 120. |]
+        "fmc_dist_shard_roundtrip_seconds";
+    audits = c "audit re-executions leased" "fmc_audit_audits_total";
+    audit_mismatches =
+      c "shard results whose digest failed verification" "fmc_audit_mismatches_total";
+    audit_disputes =
+      c "audits escalated to a third arbitrating execution" "fmc_audit_disputes_total";
+    audit_invalidated =
+      c "accepted shards invalidated by a quarantine" "fmc_audit_invalidated_total";
+    audit_quarantined = g "workers quarantined by audit verdicts" "fmc_audit_quarantined_workers";
+  }
 
 let cinc = Option.iter Metrics.inc
 let cadd c v = Option.iter (fun c -> Metrics.add c v) c
@@ -158,18 +181,20 @@ let gset g v = Option.iter (fun g -> Metrics.set g (float_of_int v)) g
 
 type t = {
   config : config;
-  dir : string;
-  wal : Wal.t;
+  store : store;
+  wal : Wal.t option;  (* Queue store only *)
+  wal_torn : int;  (* torn tails found by the startup replay *)
   entries : (string, entry) Hashtbl.t;
   mutable order : string list;  (* submission order, oldest first *)
   mutable rotation : int;  (* round-robin cursor over active entries *)
   rate : Rate.t;
   mutable draining : bool;
   mutable last_activity : float;
-  mutable banned : string list;  (* workers quarantined by audit verdicts, fleet-wide *)
-  mismatches : (string, int) Hashtbl.t;  (* digest-mismatch strikes per worker *)
-  workers_seen : (string, float) Hashtbl.t;  (* last next_job per worker: fleet-size estimate *)
-  mutable shard_ewma : float option;  (* fleet per-shard wall-clock EWMA (speculation) *)
+  mutable banned : string list;  (* workers quarantined by audit verdicts, newest first *)
+  workers : (string, worker) Hashtbl.t;
+  mutable connected : int;  (* open connections, Hello or not *)
+  mutable last_connected : float;  (* last tick with a connection open *)
+  mutable finished_at : float option;  (* first tick with nothing left to run *)
   mx : mx;
 }
 
@@ -178,11 +203,12 @@ type t = {
    logical time (tests drive a fake [now]) while the fsync cost being
    measured is real. *)
 let wal_append t payload =
-  match t.mx.wal_fsync with
-  | None -> Wal.append t.wal payload
-  | Some h ->
+  match (t.wal, t.mx.wal_fsync) with
+  | None, _ -> ()
+  | Some w, None -> Wal.append w payload
+  | Some w, Some h ->
       let t0 = Clock.now () in
-      Wal.append t.wal payload;
+      Wal.append w payload;
       Metrics.observe h (Float.max 0. (Clock.now () -. t0))
 
 (* -- WAL records --------------------------------------------------------- *)
@@ -214,17 +240,23 @@ let parse_record payload =
 
 (* -- entries ------------------------------------------------------------- *)
 
-let ckpt_dir_of dir = Filename.concat dir "campaigns"
-let ckpt_dir t = ckpt_dir_of t.dir
-let ckpt_path_of dir e = Filename.concat (ckpt_dir_of dir) (e.key ^ ".ckpt")
-let ckpt_path t e = ckpt_path_of t.dir e
+let ckpt_dir dir = Filename.concat dir "campaigns"
 
-let audit_seed ~fp = Int64.of_int (Crc32.string fp)
+(* A Queue store's checkpoint for campaign [fp]. *)
+let queue_ckpt dir fp =
+  Filename.concat (ckpt_dir dir) (Digest.to_hex (Digest.string fp) ^ ".ckpt")
 
+(* The audit selection seed: any stable function of the fingerprint
+   works; CRC-32 keeps it cheap and dependency-free. Engine sample
+   streams never see this seed, so auditing cannot perturb results. *)
 let audit_config config ~fp =
-  { Audit.rate = config.audit_rate; seed = audit_seed ~fp; ttl_s = config.ttl_s }
+  {
+    Audit.rate = config.audit_rate;
+    seed = Int64.of_int (Fmc_prelude.Crc32.string fp);
+    ttl_s = config.ttl_s;
+  }
 
-let make_entry config spec =
+let make_entry config ~ckpt spec =
   let fp = Protocol.spec_fingerprint spec in
   let plan =
     Ssf.shard_plan ~samples:spec.Protocol.sp_samples ~shard_size:spec.Protocol.sp_shard_size
@@ -232,7 +264,7 @@ let make_entry config spec =
   {
     spec;
     fp;
-    key = Digest.to_hex (Digest.string fp);
+    ckpt;
     plan;
     lease = Lease.create ~plan ~ttl:config.ttl_s;
     blobs = Hashtbl.create 16;
@@ -256,7 +288,7 @@ let spec_valid (sp : Protocol.spec) =
     | Ok _ -> Ok ()
     | Error e -> Error (Fmc_fault.Registry.error_message e)
 
-let active e = match e.phase with Active -> true | Finished | Parked _ | Cancelled -> false
+let active e = match e.phase with Active -> true | Done | Parked _ | Cancelled -> false
 
 let iter_ordered t f =
   List.iter (fun fp -> match Hashtbl.find_opt t.entries fp with Some e -> f e | None -> ()) t.order
@@ -267,29 +299,28 @@ let active_entries t =
       match Hashtbl.find_opt t.entries fp with Some e when active e -> Some e | _ -> None)
     t.order
 
+let in_flight t = List.fold_left (fun n e -> n + Lease.in_flight e.lease) 0 (active_entries t)
+
 let refresh_gauges t =
   let act = active_entries t in
   gset t.mx.q_depth (List.length act);
   gset t.mx.running
     (List.length (List.filter (fun e -> e.done_samples > 0 || Lease.in_flight e.lease > 0) act));
-  gset t.mx.in_flight (List.fold_left (fun n e -> n + Lease.in_flight e.lease) 0 act)
+  gset t.mx.in_flight (in_flight t)
 
 let sorted_quarantined e =
   Hashtbl.fold (fun _ qs acc -> List.rev_append qs acc) e.quarantines []
   |> List.sort (fun a b -> compare a.Campaign.q_index b.Campaign.q_index)
 
-let save_ckpt t e =
-  let shards =
-    Hashtbl.fold (fun i b acc -> (i, b) :: acc) e.blobs []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  in
-  (if not (Sys.file_exists (ckpt_dir t)) then
-     try Unix.mkdir (ckpt_dir t) 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+let sorted_blobs e =
+  Hashtbl.fold (fun i b acc -> (i, b) :: acc) e.blobs []
+  |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
+
+let ckpt_state ~banned e =
+  (* With auditing off and nobody quarantined the file stays the
+     byte-identical pre-audit (v2) format. *)
   let st_audit =
-    (* Quarantined workers live in the WAL, not the per-campaign
-       checkpoint, so [au_banned] stays empty here; with auditing off the
-       checkpoint is written as a byte-identical v2 file. *)
-    if Audit.rate e.audit = 0. then None
+    if Audit.rate e.audit = 0. && banned = [] then None
     else
       Some
         {
@@ -303,29 +334,32 @@ let save_ckpt t e =
                   au_passed = a.Audit.au_passed;
                 })
               (Audit.export e.audit);
-          au_banned = [];
+          au_banned = List.rev banned;
         }
   in
-  Ckpt.save ~path:(ckpt_path t e)
-    {
-      Ckpt.st_fingerprint = e.fp;
-      st_shards = shards;
-      st_quarantined = sorted_quarantined e;
-      st_audit;
-    }
+  {
+    Ckpt.st_fingerprint = e.fp;
+    st_shards = sorted_blobs e;
+    st_quarantined = sorted_quarantined e;
+    st_audit;
+  }
+
+let save_ckpt t e =
+  Option.iter (fun path -> Ckpt.save ~path (ckpt_state ~banned:t.banned e)) e.ckpt
 
 (* -- recovery ------------------------------------------------------------ *)
 
 let shard_len e shard = if shard >= 0 && shard < Array.length e.plan then snd e.plan.(shard) else 0
 
 (* Re-attribute a flat quarantine log to producing shards by global
-   sample index over the plan's ranges — v2 checkpoints (and the wire
+   sample index over the plan's ranges — checkpoints (and the wire
    protocol) carry the log flat, while invalidation needs to drop
    exactly one shard's entries. *)
 let shard_of_qindex e qi =
   let found = ref None in
   Array.iteri
-    (fun shard (start, len) -> if !found = None && qi > start && qi <= start + len then found := Some shard)
+    (fun shard (start, len) ->
+      if !found = None && qi > start && qi <= start + len then found := Some shard)
     e.plan;
   !found
 
@@ -340,53 +374,48 @@ let attach_quarantines e entries =
           Hashtbl.replace e.quarantines shard (q :: prev))
     entries
 
-let attach_ckpt ~config ~dir e =
-  let path = ckpt_path_of dir e in
-  if Sys.file_exists path then
-    match Ckpt.load ~path with
-    | Error _ -> ()  (* unreadable progress: re-run the campaign from scratch *)
-    | Ok st when st.Ckpt.st_fingerprint <> e.fp -> ()
-    | Ok st -> (
-        List.iter
-          (fun (shard, blob) ->
-            if shard >= 0 && shard < Array.length e.plan && not (Hashtbl.mem e.blobs shard)
-            then begin
-              Lease.force_complete e.lease ~shard;
-              Hashtbl.replace e.blobs shard blob;
-              e.done_samples <- e.done_samples + shard_len e shard
-            end)
-          st.Ckpt.st_shards;
-        attach_quarantines e st.Ckpt.st_quarantined;
-        let acfg = audit_config config ~fp:e.fp in
-        match st.Ckpt.st_audit with
-        | Some au ->
-            e.audit <-
-              Audit.restore acfg ~nshards:(Array.length e.plan)
-                (List.map
-                   (fun (a : Ckpt.audit_entry) ->
-                     {
-                       Audit.au_shard = a.Ckpt.au_shard;
-                       au_worker = a.Ckpt.au_worker;
-                       au_digest = a.Ckpt.au_digest;
-                       au_passed = a.Ckpt.au_passed;
-                     })
-                   au.Ckpt.au_entries)
-        | None ->
-            (* Pre-audit (v2) checkpoint under a now-auditing scheduler:
-               recompute each accepted shard's digest from its blob. The
-               primaries carry no producer name, so a later quarantine
-               cannot blame them — they are simply due for audit. *)
-            if config.audit_rate > 0. then
-              Hashtbl.iter
-                (fun shard blob ->
-                  let quarantined =
-                    Option.value (Hashtbl.find_opt e.quarantines shard) ~default:[]
-                  in
-                  ignore
-                    (Audit.note_accept e.audit ~shard ~worker:""
-                       ~digest:(Audit.Check.result_digest ~tally:blob ~quarantined)
-                      : bool))
-                e.blobs)
+(* Seed [e] from a matching checkpoint; returns the workers it names as
+   quarantined, newest first. *)
+let attach ~config e (st : Ckpt.state) =
+  List.iter
+    (fun (shard, blob) ->
+      if shard >= 0 && shard < Array.length e.plan && not (Hashtbl.mem e.blobs shard) then begin
+        Lease.force_complete e.lease ~shard;
+        Hashtbl.replace e.blobs shard blob;
+        e.done_samples <- e.done_samples + shard_len e shard
+      end)
+    st.Ckpt.st_shards;
+  attach_quarantines e st.Ckpt.st_quarantined;
+  let acfg = audit_config config ~fp:e.fp in
+  match st.Ckpt.st_audit with
+  | Some au ->
+      e.audit <-
+        Audit.restore acfg ~nshards:(Array.length e.plan)
+          (List.map
+             (fun (a : Ckpt.audit_entry) ->
+               {
+                 Audit.au_shard = a.Ckpt.au_shard;
+                 au_worker = a.Ckpt.au_worker;
+                 au_digest = a.Ckpt.au_digest;
+                 au_passed = a.Ckpt.au_passed;
+               })
+             au.Ckpt.au_entries);
+      List.rev au.Ckpt.au_banned
+  | None ->
+      (* Pre-audit (v2) checkpoint under an auditing server: recompute
+         each accepted shard's digest from its blob. The primaries carry
+         no producer name, so a later quarantine cannot blame them —
+         they are simply due for audit. *)
+      if config.audit_rate > 0. then
+        Hashtbl.iter
+          (fun shard blob ->
+            let quarantined = Option.value (Hashtbl.find_opt e.quarantines shard) ~default:[] in
+            ignore
+              (Audit.note_accept e.audit ~shard ~worker:""
+                 ~digest:(Audit.Check.result_digest ~tally:blob ~quarantined)
+                : bool))
+          e.blobs;
+      []
 
 let entry_complete e = Lease.finished e.lease && Audit.finished e.audit
 
@@ -408,10 +437,32 @@ let invalidate_victims_entry e ~worker =
     victims;
   List.length victims
 
+(* Reconcile a recovered entry against the evidence: replay each
+   quarantine's invalidation (the ban is durable before the victims'
+   checkpoints are rewritten; a no-op when the crash came after), then
+   let a complete checkpoint finish the campaign even if the crash beat
+   the "finished" WAL record, and re-queue a "finished" campaign whose
+   shards are missing (re-running is free and bit-exact). *)
+let reconcile ~banned e =
+  List.iter
+    (fun worker ->
+      if not (entry_complete e) || e.phase <> Done then
+        ignore (invalidate_victims_entry e ~worker : int))
+    banned;
+  match e.phase with
+  | Done -> if not (entry_complete e) then e.phase <- Active
+  | Active | Parked _ -> if entry_complete e then e.phase <- Done
+  | Cancelled -> ()
+
+(* Union of two newest-first worker lists, keeping that order. *)
+let add_banned banned ws =
+  List.fold_left (fun acc w -> if List.mem w acc then acc else w :: acc) banned (List.rev ws)
+
 (* Rebuild the queue from replayed WAL records, then reattach each
-   campaign's checkpoint. Runs before the WAL handle exists (the old
-   segments must survive until the compacted one is durable), so it
-   only touches the entry tables. *)
+   campaign's checkpoint (an unreadable or foreign one just means the
+   campaign re-runs from scratch). Runs before the WAL handle exists
+   (the old segments must survive until the compacted one is durable),
+   so it only touches the entry tables. *)
 let recover ~config ~dir ~entries records =
   let order = ref [] in
   let banned = ref [] in
@@ -419,8 +470,7 @@ let recover ~config ~dir ~entries records =
     (fun payload ->
       match parse_record payload with
       | None -> ()
-      | Some (Op_quarantine worker) ->
-          if not (List.mem worker !banned) then banned := worker :: !banned
+      | Some (Op_quarantine worker) -> banned := add_banned !banned [ worker ]
       | Some (Op_submit spec) -> (
           match spec_valid spec with
           | Error _ -> ()
@@ -432,50 +482,60 @@ let recover ~config ~dir ~entries records =
                      land here too and change nothing. *)
                   if e.phase = Cancelled then e.phase <- Active
               | None ->
-                  let e = make_entry config spec in
-                  Hashtbl.replace entries fp e;
+                  Hashtbl.replace entries fp
+                    (make_entry config ~ckpt:(Some (queue_ckpt dir fp)) spec);
                   order := fp :: !order))
       | Some (Op_finished (fp, elapsed)) -> (
           match Hashtbl.find_opt entries fp with
           | Some e ->
-              e.phase <- Finished;
+              e.phase <- Done;
               e.elapsed_s <- elapsed
           | None -> ())
       | Some (Op_parked (fp, reason)) -> (
           match Hashtbl.find_opt entries fp with
-          | Some e -> if e.phase <> Finished then e.phase <- Parked reason
+          | Some e -> if e.phase <> Done then e.phase <- Parked reason
           | None -> ())
       | Some (Op_cancelled fp) -> (
           match Hashtbl.find_opt entries fp with
-          | Some e -> if e.phase <> Finished then e.phase <- Cancelled
+          | Some e -> if e.phase <> Done then e.phase <- Cancelled
           | None -> ()))
     records;
   let order = List.rev !order in
-  (* Reconcile phases against the evidence: a complete checkpoint
-     finishes the campaign even if the crash beat the "finished" WAL
-     record, and a "finished" record without the shards to back it
-     re-queues the campaign (re-running is free and bit-exact). *)
   List.iter
     (fun fp ->
-      match Hashtbl.find_opt entries fp with
-      | None -> ()
-      | Some e -> (
-          attach_ckpt ~config ~dir e;
-          (* The quarantine WAL record is durable before the victims'
-             checkpoints are rewritten, so replay the invalidation — a
-             no-op when the crash came after it finished. *)
-          List.iter
-            (fun worker ->
-              if not (entry_complete e) || e.phase <> Finished then
-                ignore (invalidate_victims_entry e ~worker : int))
-            !banned;
-          match e.phase with
-          | Finished -> if not (entry_complete e) then e.phase <- Active
-          | Active -> if entry_complete e then e.phase <- Finished
-          | Parked _ -> if entry_complete e then e.phase <- Finished
-          | Cancelled -> ()))
+      let e = Hashtbl.find entries fp in
+      match e.ckpt with
+      | Some path when Sys.file_exists path -> (
+          match Ckpt.load ~path with
+          | Ok st when st.Ckpt.st_fingerprint = e.fp ->
+              banned := add_banned !banned (attach ~config e st)
+          | Ok _ | Error _ -> ())
+      | _ -> ())
     order;
+  List.iter (fun fp -> reconcile ~banned:!banned (Hashtbl.find entries fp)) order;
   (order, !banned)
+
+(* The Campaign store's one campaign: a checkpoint that does not load or
+   belongs to another campaign is a hard error — silently starting over
+   it would discard durable results. *)
+let load_campaign ~config ~entries spec checkpoint =
+  (match spec_valid spec with Error msg -> invalid_arg ("Sched.create: " ^ msg) | Ok () -> ());
+  let e = make_entry config ~ckpt:checkpoint spec in
+  let banned =
+    match checkpoint with
+    | Some path when Sys.file_exists path -> (
+        match Ckpt.load ~path with
+        | Error msg -> failwith (Printf.sprintf "corrupt checkpoint %s: %s" path msg)
+        | Ok st when st.Ckpt.st_fingerprint <> e.fp ->
+            failwith
+              (Printf.sprintf "checkpoint %s belongs to a different campaign (fingerprint mismatch)"
+                 path)
+        | Ok st -> attach ~config e st)
+    | _ -> []
+  in
+  reconcile ~banned e;
+  Hashtbl.replace entries e.fp e;
+  ([ e.fp ], banned)
 
 let records_of_state ~entries ~banned order =
   List.concat_map
@@ -486,34 +546,42 @@ let records_of_state ~entries ~banned order =
           let base = rec_submit e.spec in
           match e.phase with
           | Active -> [ base ]
-          | Finished -> [ base; rec_finished e.fp e.elapsed_s ]
+          | Done -> [ base; rec_finished e.fp e.elapsed_s ]
           | Parked reason -> [ base; rec_parked e.fp reason ]
           | Cancelled -> [ base; rec_cancelled e.fp ]))
     order
   @ List.rev_map rec_quarantine banned
 
-let create ?(obs = Obs.disabled) config ~dir ~now =
+let create ?(obs = Obs.disabled) config store ~now =
   if config.ttl_s <= 0. then invalid_arg "Sched.create: non-positive ttl";
   if config.audit_rate < 0. || config.audit_rate > 1. then
     invalid_arg "Sched.create: audit_rate outside [0,1]";
-  if config.speculate_factor < 0. then invalid_arg "Sched.create: negative speculate_factor";
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let wal_dir = Filename.concat dir "wal" in
-  let replayed = Wal.replay ~dir:wal_dir in
+  if config.require_workers < 0 then invalid_arg "Sched.create: negative require_workers";
   let mx = mx_create obs in
-  cadd mx.wal_records (float_of_int (List.length replayed.Wal.records));
-  cadd mx.wal_torn (float_of_int replayed.Wal.torn);
   let entries = Hashtbl.create 16 in
-  let order, banned = recover ~config ~dir ~entries replayed.Wal.records in
-  let recovered = Hashtbl.length entries in
-  if recovered > 0 then cadd mx.recoveries (float_of_int recovered);
-  (* Compacting here also truncates any torn tail: the next replay reads
-     a minimal, tear-free log. *)
+  let (order, banned), wal, torn =
+    match store with
+    | Campaign { spec; checkpoint } -> (load_campaign ~config ~entries spec checkpoint, None, 0)
+    | Queue dir ->
+        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+        if not (Sys.file_exists (ckpt_dir dir)) then Unix.mkdir (ckpt_dir dir) 0o755;
+        let wal_dir = Filename.concat dir "wal" in
+        let replayed = Wal.replay ~dir:wal_dir in
+        cadd mx.wal_records (float_of_int (List.length replayed.Wal.records));
+        cadd mx.wal_torn (float_of_int replayed.Wal.torn);
+        let order, banned = recover ~config ~dir ~entries replayed.Wal.records in
+        if order <> [] then cadd mx.recoveries (float_of_int (List.length order));
+        (* Compacting here also truncates any torn tail: the next replay
+           reads a minimal, tear-free log. *)
+        let wal = Wal.start ~dir:wal_dir ~initial:(records_of_state ~entries ~banned order) in
+        ((order, banned), Some wal, replayed.Wal.torn)
+  in
   let t =
     {
       config;
-      dir;
-      wal = Wal.start ~dir:wal_dir ~initial:(records_of_state ~entries ~banned order);
+      store;
+      wal;
+      wal_torn = torn;
       entries;
       order;
       rotation = 0;
@@ -521,9 +589,10 @@ let create ?(obs = Obs.disabled) config ~dir ~now =
       draining = false;
       last_activity = now;
       banned;
-      mismatches = Hashtbl.create 8;
-      workers_seen = Hashtbl.create 8;
-      shard_ewma = None;
+      workers = Hashtbl.create 8;
+      connected = 0;
+      last_connected = now;
+      finished_at = None;
       mx;
     }
   in
@@ -531,51 +600,133 @@ let create ?(obs = Obs.disabled) config ~dir ~now =
   refresh_gauges t;
   t
 
+(* -- worker health ------------------------------------------------------- *)
+
+let worker_state t name =
+  match Hashtbl.find_opt t.workers name with
+  | Some w -> w
+  | None ->
+      let breaker = Breaker.create t.config.breaker in
+      let w = { breaker; conns = 0; strikes = 0; beat = None; rate = 0. } in
+      Hashtbl.add t.workers name w;
+      w
+
+let breaker_open w ~now = Breaker.state w.breaker ~now = Breaker.Open
+
+let open_breakers t ~now =
+  Hashtbl.fold (fun _ w n -> if breaker_open w ~now then n + 1 else n) t.workers 0
+
+let note_failure t ~worker ~now =
+  let b = (worker_state t worker).breaker in
+  let trips = Breaker.trips b in
+  Breaker.record_failure b ~now;
+  if Breaker.trips b > trips then cinc t.mx.breaker_trips;
+  gset t.mx.circuit_open (open_breakers t ~now)
+
+let note_success t ~worker ~now =
+  Breaker.record_success (worker_state t worker).breaker ~now;
+  gset t.mx.circuit_open (open_breakers t ~now)
+
+(* Distinct worker names with a live connection and no open breaker —
+   the population the require_workers floor is measured against, and
+   the fleet size that decides whether self-audit is allowed. *)
+let healthy_workers t ~now =
+  Hashtbl.fold
+    (fun _ w n -> if w.conns > 0 && not (breaker_open w ~now) then n + 1 else n)
+    t.workers 0
+
+let leasing_paused t ~now =
+  let paused = t.config.require_workers > 0 && healthy_workers t ~now < t.config.require_workers in
+  gset t.mx.leasing_paused (if paused then 1 else 0);
+  paused
+
+let is_banned t ~worker = List.mem worker t.banned
+
+let quarantined_reason = "worker quarantined: failed result audit"
+
+let connect t = t.connected <- t.connected + 1
+
+(* One hello rule for every connection: the scope must be the pool or a
+   campaign this server holds, the worker must not be quarantined, and
+   its breaker must admit it. *)
+let hello t ~now ~worker ~scope =
+  if is_banned t ~worker then `Reject quarantined_reason
+  else if scope <> Protocol.pool_fingerprint && not (Hashtbl.mem t.entries scope) then
+    `Reject "campaign fingerprint mismatch: no such campaign on this server"
+  else
+    let w = worker_state t worker in
+    if Breaker.allow w.breaker ~now then begin
+      w.conns <- w.conns + 1;
+      `Welcome
+    end
+    else `Retry_later (Float.max 0.1 (Breaker.cooldown_remaining w.breaker ~now))
+
+let disconnect t ~worker =
+  t.connected <- t.connected - 1;
+  Option.iter
+    (fun name ->
+      let w = worker_state t name in
+      w.conns <- w.conns - 1)
+    worker
+
+let charge t ~now ~worker ~corrupt =
+  if corrupt then cinc t.mx.frames_corrupt;
+  match worker with
+  | None -> 0.
+  | Some worker ->
+      note_failure t ~worker ~now;
+      Float.max 0.05 (Breaker.cooldown_remaining (worker_state t worker).breaker ~now)
+
 (* -- phase transitions --------------------------------------------------- *)
 
 let finalize t e ~now =
   (* A campaign is not finished until every pending audit drained: a
      report served before its audits settle could carry a lie. *)
-  if e.phase <> Finished && entry_complete e then begin
-    e.phase <- Finished;
+  if e.phase <> Done && entry_complete e then begin
+    e.phase <- Done;
     e.elapsed_s <- (match e.started_at with Some s -> now -. s | None -> 0.);
     wal_append t (rec_finished e.fp e.elapsed_s);
     cinc t.mx.finished;
     refresh_gauges t
   end
 
-let is_banned t ~worker = List.mem worker t.banned
-
-(* Fleet-wide quarantine: record durably, then invalidate every
-   unvindicated shard the liar produced in any still-active campaign so
-   honest workers re-run them. Finished campaigns keep their reports —
-   every shard in them was either audited or produced before auditing
-   drained, and reopening a served report would be worse than the
-   residual risk. *)
-let quarantine_worker t worker =
+(* Fleet-wide quarantine: record durably, force the worker's breaker
+   open, then invalidate every unvindicated shard the liar produced in
+   any still-active campaign so honest workers re-run them. Finished
+   campaigns keep their reports — every shard in them was either
+   audited or produced before auditing drained, and reopening a served
+   report would be worse than the residual risk. *)
+let quarantine_worker t ~now worker =
   if worker <> "" && not (is_banned t ~worker) then begin
     t.banned <- worker :: t.banned;
     wal_append t (rec_quarantine worker);
     gset t.mx.audit_quarantined (List.length t.banned);
+    let w = worker_state t worker in
+    if not (breaker_open w ~now) then cinc t.mx.breaker_trips;
+    Breaker.trip w.breaker ~now;
+    gset t.mx.circuit_open (open_breakers t ~now);
     iter_ordered t (fun e ->
         if active e then begin
           let dropped = invalidate_victims_entry e ~worker in
-          ignore (Lease.release_worker e.lease ~worker : int list);
-          if dropped > 0 then begin
-            cadd t.mx.audit_invalidated (float_of_int dropped);
-            save_ckpt t e
-          end
+          Lease.release_worker e.lease ~worker;
+          cadd t.mx.audit_invalidated (float_of_int dropped);
+          save_ckpt t e
         end);
     refresh_gauges t
   end
 
 let mismatch_strikes = 3
 
-let note_mismatch t worker =
+(* The worker's own digest disagrees with its payload: corruption or a
+   clumsy lie. Charged like a corrupt frame; repeated mismatches are not
+   line noise. *)
+let note_mismatch t ~now worker =
   cinc t.mx.audit_mismatches;
-  let strikes = 1 + Option.value (Hashtbl.find_opt t.mismatches worker) ~default:0 in
-  Hashtbl.replace t.mismatches worker strikes;
-  if strikes >= mismatch_strikes then quarantine_worker t worker
+  cinc t.mx.frames_corrupt;
+  note_failure t ~worker ~now;
+  let w = worker_state t worker in
+  w.strikes <- w.strikes + 1;
+  if w.strikes >= mismatch_strikes then quarantine_worker t ~now worker
 
 let park t e reason =
   if active e then begin
@@ -610,7 +761,7 @@ let submit t ~now spec =
       match Hashtbl.find_opt t.entries fp with
       | Some e -> (
           match e.phase with
-          | Finished ->
+          | Done ->
               cinc t.mx.cache_hits;
               `Cached
           | Cancelled ->
@@ -627,7 +778,10 @@ let submit t ~now spec =
             `Rejected t.config.retry_after_s
           end
           else begin
-            let e = make_entry t.config spec in
+            let ckpt =
+              match t.store with Queue dir -> Some (queue_ckpt dir fp) | Campaign _ -> None
+            in
+            let e = make_entry t.config ~ckpt spec in
             Hashtbl.replace t.entries fp e;
             t.order <- t.order @ [ fp ];
             wal_append t (rec_submit spec);
@@ -641,7 +795,7 @@ let cancel t ~fingerprint =
   | None -> `Unknown
   | Some e -> (
       match e.phase with
-      | Finished -> `Already_finished
+      | Done -> `Already_finished
       | Cancelled -> `Cancelled
       | Active | Parked _ ->
           e.phase <- Cancelled;
@@ -652,11 +806,18 @@ let cancel t ~fingerprint =
 
 (* -- dispatch ------------------------------------------------------------ *)
 
+(* A heartbeat gap big enough to lose the lease is a health event for
+   the worker that was holding it. *)
+let expire t e ~now =
+  let expired = Lease.sweep_expired e.lease ~now in
+  cadd t.mx.leases_expired (float_of_int (List.length expired));
+  List.iter (fun (_, worker) -> note_failure t ~worker ~now) expired;
+  ignore (Audit.sweep e.audit ~now : int)
+
 let sweep t ~now =
   iter_ordered t (fun e ->
       if active e then begin
-        ignore (Lease.sweep e.lease ~now : int);
-        ignore (Audit.sweep e.audit ~now : int);
+        expire t e ~now;
         (match (e.started_at, t.config.wall_budget_s) with
         | Some s, budget when budget > 0. && now -. s > budget ->
             park t e
@@ -664,18 +825,18 @@ let sweep t ~now =
         | _ -> ());
         if entry_complete e then finalize t e ~now
       end);
+  gset t.mx.circuit_open (open_breakers t ~now);
+  ignore (leasing_paused t ~now : bool);
   refresh_gauges t
 
-(* Live-fleet estimate from recent lease requests: with a single live
-   worker the different-auditor rule would deadlock the audit queue, so
-   self-audit is allowed (it still catches nondeterminism). *)
-let fleet_size t ~now =
-  Hashtbl.fold
-    (fun _ last n -> if now -. last <= 2. *. t.config.ttl_s then n + 1 else n)
-    t.workers_seen 0
-
+(* Offer an audit re-execution to an otherwise idle worker. The audited
+   shard stays Done in the lease table; the re-run rides a fresh epoch
+   from the same fence, so its completion can never be mistaken for a
+   primary result. With a single healthy worker the different-auditor
+   rule would deadlock the audit queue, so self-audit is allowed (it
+   still catches nondeterminism). *)
 let audit_offer t e ~now ~worker =
-  match Audit.next_due e.audit ~worker ~allow_self:(fleet_size t ~now <= 1) with
+  match Audit.next_due e.audit ~worker ~allow_self:(healthy_workers t ~now <= 1) with
   | None -> None
   | Some shard ->
       let epoch = Lease.bump_epoch e.lease ~shard in
@@ -684,52 +845,29 @@ let audit_offer t e ~now ~worker =
       let start, len = Lease.range e.lease ~shard in
       Some { Lease.shard; epoch; start; len }
 
-let speculate_offer t e ~now ~worker =
-  match t.shard_ewma with
-  | Some ewma when t.config.speculate_factor > 0. && not (Lease.finished e.lease) ->
-      let threshold = t.config.speculate_factor *. ewma in
-      let worst = ref None in
-      Hashtbl.iter
-        (fun shard (t0, holder) ->
-          let age = now -. t0 in
-          if holder <> worker && age > threshold then
-            match !worst with
-            | Some (a, _) when a >= age -> ()
-            | _ -> worst := Some (age, shard))
-        e.assigned_at;
-      (match !worst with
-      | None -> None
-      | Some (_, shard) -> (
-          match Lease.speculate e.lease ~now ~shard ~worker with
-          | Some a ->
-              cinc t.mx.audit_speculations;
-              Some a
-          | None -> None))
-  | _ -> None
-
 let next_job t ~now ~worker ~scope =
   t.last_activity <- now;
-  Hashtbl.replace t.workers_seen worker now;
   if is_banned t ~worker then `Banned
   else if t.draining then `Drained
+  else if leasing_paused t ~now then `Wait
   else
     let try_entry e =
       if not (active e) then None
-      else
+      else begin
+        expire t e ~now;
         match Lease.acquire e.lease ~now ~worker with
         | `Assign a ->
             if e.started_at = None then e.started_at <- Some now;
-            Hashtbl.replace e.assigned_at a.Lease.shard (now, worker);
+            Hashtbl.replace e.assigned_at a.Lease.shard now;
+            cinc t.mx.leases_issued;
             Some (`Job (e.spec, a))
         | `Finished | `Wait -> (
             match audit_offer t e ~now ~worker with
             | Some a -> Some (`Job (e.spec, a))
-            | None -> (
-                match speculate_offer t e ~now ~worker with
-                | Some a -> Some (`Job (e.spec, a))
-                | None ->
-                    if entry_complete e then finalize t e ~now;
-                    None))
+            | None ->
+                if entry_complete e then finalize t e ~now;
+                None)
+      end
     in
     if scope = Protocol.pool_fingerprint then begin
       let act = active_entries t in
@@ -760,8 +898,7 @@ let next_job t ~now ~worker ~scope =
       | None -> `Unknown_scope
       | Some e -> (
           match e.phase with
-          | Finished -> `Drained
-          | Cancelled -> `Drained
+          | Done | Cancelled -> `Drained
           | Parked _ -> `Wait
           | Active -> (
               match try_entry e with
@@ -770,103 +907,117 @@ let next_job t ~now ~worker ~scope =
                   job
               | None -> if entry_complete e then `Drained else `Wait))
 
-let heartbeat t ~now ~fingerprint ~shard ~epoch =
+let heartbeat t ~now ~fingerprint ~shard ~epoch ~worker ~samples_done =
   t.last_activity <- now;
-  match Hashtbl.find_opt t.entries fingerprint with
-  | None -> `Stale
-  | Some e -> (
-      match e.phase with
-      | Active | Parked _ ->
-          if Audit.heartbeat e.audit ~shard ~epoch ~now then `Ok
-          else Lease.heartbeat e.lease ~now ~shard ~epoch
-      | Finished | Cancelled -> `Stale)
+  cinc t.mx.heartbeats;
+  let live =
+    match Hashtbl.find_opt t.entries fingerprint with
+    | None -> `Stale
+    | Some e -> (
+        match e.phase with
+        | Active | Parked _ ->
+            if Audit.heartbeat e.audit ~shard ~epoch ~now then `Ok
+            else Lease.heartbeat e.lease ~now ~shard ~epoch
+        | Done | Cancelled -> `Stale)
+  in
+  if live = `Ok then begin
+    note_success t ~worker ~now;
+    let w = worker_state t worker in
+    (match w.beat with
+    | Some (t0, s0, e0, d0) when s0 = shard && e0 = epoch && samples_done > d0 && now > t0 ->
+        w.rate <- float_of_int (samples_done - d0) /. (now -. t0)
+    | _ -> ());
+    w.beat <- Some (now, shard, epoch, samples_done)
+  end;
+  live
 
 let complete t ~now ~fingerprint ~shard ~epoch ~worker ~digest ~tally ~quarantined =
   t.last_activity <- now;
   match Hashtbl.find_opt t.entries fingerprint with
   | None -> `Unknown
+  | Some { phase = Cancelled; _ } -> `Unknown
   | Some e -> (
-      match e.phase with
-      | Cancelled -> `Unknown
-      | Finished | Active | Parked _ -> (
-          match Ssf.Tally.of_string tally with
-          | Error msg -> `Invalid msg
-          | Ok _ -> (
-              let computed = Audit.Check.result_digest ~tally ~quarantined in
-              match digest with
-              | Some d when d <> computed ->
-                  (* The worker's own digest disagrees with its payload:
-                     corruption or a clumsy lie. Refuse without consuming
-                     the shard's completion and put the lease back. *)
-                  note_mismatch t worker;
-                  Audit.release e.audit ~shard ~epoch;
-                  Lease.release e.lease ~shard ~epoch;
-                  `Mismatch
-              | _ ->
-                  if Audit.audit_epoch e.audit ~shard ~epoch then (
-                    match Audit.complete e.audit ~shard ~epoch ~worker ~digest:computed with
-                    | `Pass ->
-                        save_ckpt t e;
-                        if e.phase = Active then finalize t e ~now;
-                        `Audited "audit pass"
-                    | `Dispute ->
-                        cinc t.mx.audit_disputes;
-                        `Audited "audit dispute: arbitrating"
-                    | `Verdict { Audit.vd_liars; vd_replace } ->
-                        if vd_replace then begin
-                          (* The accepted primary was the lie; the
-                             arbiter's result in hand is the honest one. *)
-                          Hashtbl.replace e.blobs shard tally;
-                          if quarantined = [] then Hashtbl.remove e.quarantines shard
-                          else Hashtbl.replace e.quarantines shard quarantined
-                        end;
-                        List.iter (quarantine_worker t) vd_liars;
-                        save_ckpt t e;
-                        if e.phase = Active then finalize t e ~now;
-                        `Audited "audit verdict"
-                    | `Stale -> `Stale)
-                  else
-                    match Lease.complete e.lease ~shard ~epoch with
-                    | `Accepted ->
-                        Hashtbl.replace e.blobs shard tally;
-                        if quarantined = [] then Hashtbl.remove e.quarantines shard
-                        else Hashtbl.replace e.quarantines shard quarantined;
-                        e.done_samples <- e.done_samples + shard_len e shard;
-                        Rate.observe t.rate ~now (float_of_int (shard_len e shard));
-                        (match Hashtbl.find_opt e.assigned_at shard with
-                        | Some (t0, _) ->
-                            let dt = Float.max 0. (now -. t0) in
-                            t.shard_ewma <-
-                              Some
-                                (match t.shard_ewma with
-                                | None -> dt
-                                | Some old -> (0.7 *. old) +. (0.3 *. dt));
-                            Hashtbl.remove e.assigned_at shard
-                        | None -> ());
-                        ignore (Audit.note_accept e.audit ~shard ~worker ~digest:computed : bool);
-                        save_ckpt t e;
-                        if e.phase = Active then finalize t e ~now;
-                        refresh_gauges t;
-                        `Accepted
-                    | (`Duplicate | `Stale | `Unknown) as r -> r)))
+      let computed = Audit.Check.result_digest ~tally ~quarantined in
+      match (digest, Ssf.Tally.of_string tally) with
+      | Some d, _ when d <> computed ->
+          (* Refuse without consuming the shard's completion and put the
+             lease back. *)
+          note_mismatch t ~now worker;
+          Audit.release e.audit ~shard ~epoch;
+          Lease.release e.lease ~shard ~epoch;
+          `Mismatch
+      | _, Error msg ->
+          (* Validate before committing: a blob that does not decode must
+             not consume the shard's one accepted completion. *)
+          note_failure t ~worker ~now;
+          `Invalid msg
+      | _, Ok _ when Audit.audit_epoch e.audit ~shard ~epoch -> (
+          match Audit.complete e.audit ~shard ~epoch ~worker ~digest:computed with
+          | `Pass ->
+              note_success t ~worker ~now;
+              save_ckpt t e;
+              if e.phase = Active then finalize t e ~now;
+              `Audited "audit pass"
+          | `Dispute ->
+              (* Somebody is lying, but we cannot yet say who: a third
+                 execution arbitrates. *)
+              cinc t.mx.audit_disputes;
+              `Audited "audit dispute: arbitrating"
+          | `Verdict { Audit.vd_liars; vd_replace } ->
+              if vd_replace then begin
+                (* The accepted primary was the lie; the arbiter's result
+                   in hand is the honest one. *)
+                Hashtbl.replace e.blobs shard tally;
+                if quarantined = [] then Hashtbl.remove e.quarantines shard
+                else Hashtbl.replace e.quarantines shard quarantined
+              end;
+              List.iter (quarantine_worker t ~now) vd_liars;
+              if not (List.mem worker vd_liars) then note_success t ~worker ~now;
+              save_ckpt t e;
+              if e.phase = Active then finalize t e ~now;
+              `Audited "audit verdict"
+          | `Stale ->
+              cinc t.mx.stale_results;
+              `Stale)
+      | _, Ok _ -> (
+          match Lease.complete e.lease ~shard ~epoch with
+          | `Accepted ->
+              Hashtbl.replace e.blobs shard tally;
+              if quarantined = [] then Hashtbl.remove e.quarantines shard
+              else Hashtbl.replace e.quarantines shard quarantined;
+              e.done_samples <- e.done_samples + shard_len e shard;
+              cinc t.mx.shards_completed;
+              Rate.observe t.rate ~now (float_of_int (shard_len e shard));
+              (match Hashtbl.find_opt e.assigned_at shard with
+              | Some t0 ->
+                  Option.iter
+                    (fun h -> Metrics.observe h (Float.max 0. (now -. t0)))
+                    t.mx.roundtrip;
+                  Hashtbl.remove e.assigned_at shard
+              | None -> ());
+              note_success t ~worker ~now;
+              ignore (Audit.note_accept e.audit ~shard ~worker ~digest:computed : bool);
+              save_ckpt t e;
+              if e.phase = Active then finalize t e ~now;
+              refresh_gauges t;
+              `Accepted
+          | `Stale ->
+              cinc t.mx.stale_results;
+              `Stale
+          | (`Duplicate | `Unknown) as r -> r))
 
 (* -- reports and status -------------------------------------------------- *)
 
 let report t ~fingerprint =
   match Hashtbl.find_opt t.entries fingerprint with
-  | Some e when e.phase = Finished ->
-      let shards =
-        Hashtbl.fold (fun i b acc -> (i, b) :: acc) e.blobs []
-        |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-      in
-      Some (shards, sorted_quarantined e, e.elapsed_s)
+  | Some e when e.phase = Done -> Some (sorted_blobs e, sorted_quarantined e, e.elapsed_s)
   | Some _ | None -> None
 
 let status_entry t ~now e =
   let queue_len = List.length (active_entries t) in
   let state, position, detail =
     match e.phase with
-    | Finished -> (Protocol.Finished, -1, "")
+    | Done -> (Protocol.Finished, -1, "")
     | Cancelled -> (Protocol.Cancelled, -1, "")
     | Parked reason -> (Protocol.Parked, -1, reason)
     | Active ->
@@ -879,7 +1030,7 @@ let status_entry t ~now e =
   let rate = Rate.per_sec t.rate ~now in
   let eta =
     match e.phase with
-    | Finished | Cancelled -> 0.
+    | Done | Cancelled -> 0.
     | Parked _ -> -1.
     | Active ->
         let own = e.spec.Protocol.sp_samples - e.done_samples in
@@ -925,21 +1076,108 @@ let status t ~now ~fingerprint =
     | Some e -> [ status_entry t ~now e ]
     | None -> []
 
+type health = {
+  h_finished : bool;
+  h_draining : bool;
+  h_queue_depth : int;
+  h_shards_done : int;
+  h_shards_total : int;
+  h_in_flight : int;
+  h_connected : int;
+  h_healthy_workers : int;
+  h_breakers_open : int;
+  h_leasing_paused : bool;
+  h_audits_pending : int;
+  h_quarantined_workers : int;
+  h_wal_torn : int;
+}
+
+let health t ~now =
+  let sum f = Hashtbl.fold (fun _ e n -> n + f e) t.entries 0 in
+  let act = active_entries t in
+  {
+    h_finished = act = [];
+    h_draining = t.draining;
+    h_queue_depth = List.length act;
+    h_shards_done = sum (fun e -> Lease.completed e.lease);
+    h_shards_total = sum (fun e -> Lease.total e.lease);
+    h_in_flight = in_flight t;
+    h_connected = t.connected;
+    h_healthy_workers = healthy_workers t ~now;
+    h_breakers_open = open_breakers t ~now;
+    h_leasing_paused = leasing_paused t ~now;
+    h_audits_pending = List.fold_left (fun n e -> n + Audit.pending e.audit) 0 act;
+    h_quarantined_workers = List.length t.banned;
+    h_wal_torn = t.wal_torn;
+  }
+
+type worker_health = {
+  wh_breaker : Breaker.state;
+  wh_connections : int;
+  wh_rate : float;
+  wh_quarantined : bool;
+  wh_mismatches : int;
+}
+
+let workers t ~now =
+  Hashtbl.fold
+    (fun name w acc ->
+      ( name,
+        {
+          wh_breaker = Breaker.state w.breaker ~now;
+          wh_connections = w.conns;
+          wh_rate = w.rate;
+          wh_quarantined = is_banned t ~worker:name;
+          wh_mismatches = w.strikes;
+        } )
+      :: acc)
+    t.workers []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 (* -- lifecycle ----------------------------------------------------------- *)
 
 let drain t = t.draining <- true
-let draining t = t.draining
-let in_flight t = List.fold_left (fun n e -> n + Lease.in_flight e.lease) 0 (active_entries t)
 let idle t = active_entries t = []
-let last_activity t = t.last_activity
+
+(* The exit rules, evaluated on the service's tick. A Queue store exits
+   once drained or idle past [max_idle_s]. A Campaign store exits
+   [linger_s] after its report went final — once the last client has
+   hung up, or at 4x linger regardless, so workers that never said
+   goodbye cannot hold it hostage — and gives up ([`Abandoned]) when the
+   campaign is unfinished and nothing has been connected for
+   [max_idle_s], freeing its port instead of waiting forever. *)
+let tick t ~now =
+  sweep t ~now;
+  if t.connected > 0 then t.last_connected <- now;
+  let max_idle = t.config.max_idle_s in
+  if t.draining then if in_flight t = 0 then `Stop Drained else `Serve
+  else
+    match t.store with
+    | Queue _ ->
+        if max_idle > 0. && idle t && now -. t.last_activity >= max_idle then `Stop Idle
+        else `Serve
+    | Campaign _ when idle t ->
+        let t0 = Option.value t.finished_at ~default:now in
+        t.finished_at <- Some t0;
+        let linger = t.config.linger_s in
+        if (now -. t0 >= linger && t.connected = 0) || now -. t0 >= 4. *. linger then
+          `Stop Finished
+        else `Serve
+    | Campaign _ ->
+        t.finished_at <- None;
+        if max_idle > 0. && now -. t.last_connected >= max_idle then
+          `Abandoned
+            (Printf.sprintf
+               "no worker connected for %.0f s with the campaign unfinished (--max-idle)" max_idle)
+        else `Serve
 
 let shutdown t =
   (* Rewrite the WAL as one compacted segment of the final state — the
      next startup replays a minimal, tear-free log. *)
-  let wal_dir = Wal.dir t.wal in
-  Wal.close t.wal;
-  let w =
-    Wal.start ~dir:wal_dir
-      ~initial:(records_of_state ~entries:t.entries ~banned:t.banned t.order)
-  in
-  Wal.close w
+  Option.iter
+    (fun wal ->
+      let wal_dir = Wal.dir wal in
+      Wal.close wal;
+      let initial = records_of_state ~entries:t.entries ~banned:t.banned t.order in
+      Wal.close (Wal.start ~dir:wal_dir ~initial))
+    t.wal

@@ -1,18 +1,21 @@
-(* The scheduler's socket service ([faultmc sched]): accept loop,
-   per-connection threads, and the mapping between Protocol messages and
-   Sched operations. Mirrors Fmc_dist.Coordinator's structure — select
-   tick + thread per connection + one state mutex — but every connection
+(* The fleet server's socket service ([faultmc sched] and
+   [faultmc serve]): accept loop, per-connection threads, and the mapping
+   between Protocol messages and Sched operations. Every connection
    carries a scope (its Hello fingerprint): pool workers and control
    clients announce Protocol.pool_fingerprint, while campaign-scoped
-   connections (legacy [faultmc worker], [evaluate --connect], and
-   [submit --wait]) name one campaign and speak the pre-scheduler
-   message set against it unchanged.
+   connections ([faultmc worker] without --pool, [evaluate --connect],
+   [submit --wait]) name one campaign and speak the single-campaign
+   message set against it.
 
-   Shutdown protocol: SIGTERM (or SIGINT, or a test's request_drain)
-   sets the drain flag; the tick stops leasing, in-flight shards finish
-   and are checkpointed, and once none remain the loop exits, compacts
-   the WAL and returns. An idle scheduler (no campaign queued or
-   running) exits on its own after [max_idle_s] of no useful work. *)
+   Everything that decides — admission, leasing, breakers, the worker
+   floor, the exit rules — lives in Sched; this module only moves bytes,
+   holds the one state mutex, and turns Sched's verdicts into frames.
+
+   Shutdown: SIGTERM (or SIGINT, or a test's request_drain) sets the
+   drain flag; the tick stops leasing, in-flight shards finish and are
+   checkpointed, and once none remain the loop exits, compacts the WAL
+   and returns. The tick also applies the store's own exit rules (see
+   Sched.tick). *)
 
 module Protocol = Fmc_dist.Protocol
 module Wire = Fmc_dist.Wire
@@ -26,42 +29,37 @@ module Traceid = Fmc_obs.Traceid
 
 type config = {
   addr : Wire.addr;
-  state_dir : string;
+  store : Sched.store;
   sched : Sched.config;
-  max_idle_s : float;  (* exit after this long idle with an empty queue; 0 = never *)
   io_deadline_s : float;
   handle_signals : bool;
 }
 
-let default_config ~addr ~state_dir =
-  {
-    addr;
-    state_dir;
-    sched = Sched.default_config;
-    max_idle_s = 0.;
-    io_deadline_s = 120.;
-    handle_signals = true;
-  }
+let default_config ~addr store =
+  { addr; store; sched = Sched.default_config; io_deadline_s = 120.; handle_signals = true }
 
-type stop_reason = Drained | Idle
+type stop_reason = Sched.stop_reason = Drained | Idle | Finished
 
-type outcome = { sv_reason : stop_reason }
+type outcome = {
+  sv_reason : stop_reason;
+  sv_report : ((int * string) list * Fmc.Campaign.quarantine_entry list * float) option;
+}
+
+type control = { request_drain : unit -> unit }
 
 (* -- fleet view (scrape endpoint surface) -------------------------------- *)
 
-type health = {
-  h_draining : bool;
-  h_queue_depth : int;  (* campaigns queued or running *)
-  h_in_flight : int;  (* live shard leases across campaigns *)
-  h_connected : int;
-  h_wal_torn : int;  (* torn WAL tails detected at the last startup *)
+type worker_view = {
+  w_name : string;
+  w_health : Sched.worker_health option;  (* None: known from telemetry only *)
+  w_fleet : Fleet.worker_info option;  (* None: no telemetry absorbed yet *)
 }
 
 type view = {
   vw_metrics : unit -> string;
-  vw_health : unit -> health;
+  vw_health : unit -> Sched.health;
   vw_status : unit -> Protocol.status_entry list;
-  vw_workers : unit -> (string * Fmc_obs.Fleet.worker_info) list;
+  vw_workers : unit -> worker_view list;
   vw_trace_json : unit -> string;
 }
 
@@ -70,13 +68,12 @@ type state = {
   sched : Sched.t;
   config : config;
   drain_flag : bool Atomic.t;
-  mutable connected : int;
   connections : Metrics.gauge option;
   draining_g : Metrics.gauge option;
-  fleet : Fleet.t;  (* absorbed v4 pool-worker telemetry; has its own lock *)
+  bytes_sent : Metrics.counter option;
+  bytes_received : Metrics.counter option;
+  fleet : Fleet.t;  (* absorbed v4 worker telemetry; has its own lock *)
 }
-
-type control = { request_drain : unit -> unit }
 
 let locked st f =
   Mutex.lock st.mutex;
@@ -96,6 +93,10 @@ let complete_reply = function
   | `Invalid msg -> Protocol.Ack { accepted = false; reason = "undecodable tally: " ^ msg }
   | `Mismatch -> Protocol.Ack { accepted = false; reason = "result digest mismatch" }
   | `Audited reason -> Protocol.Ack { accepted = true; reason }
+
+let heartbeat_reply = function
+  | `Ok -> Protocol.Ack { accepted = true; reason = "" }
+  | `Stale -> Protocol.Ack { accepted = false; reason = "lease lost" }
 
 let handle_msg st ~scope ~worker ~digest msg =
   let now = Clock.now () in
@@ -133,16 +134,13 @@ let handle_msg st ~scope ~worker ~digest msg =
       | `Drained -> Protocol.No_work { finished = true }
       | `Unknown_scope -> Protocol.Reject { reason = "unknown campaign" }
       | `Banned -> Protocol.Reject { reason = "worker quarantined: failed result audit" })
-  | Protocol.Heartbeat { shard; epoch; samples_done = _ } ->
+  | Protocol.Heartbeat { shard; epoch; samples_done } ->
       if pool then Protocol.Reject { reason = "pool connections heartbeat with job_heartbeat" }
-      else (
-        match Sched.heartbeat sched ~now ~fingerprint:scope ~shard ~epoch with
-        | `Ok -> Protocol.Ack { accepted = true; reason = "" }
-        | `Stale -> Protocol.Ack { accepted = false; reason = "lease lost" })
-  | Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done = _ } -> (
-      match Sched.heartbeat sched ~now ~fingerprint ~shard ~epoch with
-      | `Ok -> Protocol.Ack { accepted = true; reason = "" }
-      | `Stale -> Protocol.Ack { accepted = false; reason = "lease lost" })
+      else
+        heartbeat_reply
+          (Sched.heartbeat sched ~now ~fingerprint:scope ~shard ~epoch ~worker ~samples_done)
+  | Protocol.Job_heartbeat { fingerprint; shard; epoch; samples_done } ->
+      heartbeat_reply (Sched.heartbeat sched ~now ~fingerprint ~shard ~epoch ~worker ~samples_done)
   | Protocol.Shard_done { shard; epoch; tally; quarantined } ->
       if pool then Protocol.Reject { reason = "pool connections complete with job_done" }
       else
@@ -181,8 +179,8 @@ let absorb_telemetry st ~worker (ext : Protocol.extension) =
       | Error _ -> ())
 
 (* Trace/span ids stamped on leases handed to v4 peers: pure functions
-   of the campaign fingerprint and shard index, so they agree with what
-   any other coordinator of the same campaign would stamp. *)
+   of the campaign fingerprint and shard index, so any server of the
+   same campaign stamps the same ones. *)
 let trace_ext ~fingerprint ~shard =
   {
     Protocol.no_extension with
@@ -190,19 +188,21 @@ let trace_ext ~fingerprint ~shard =
       Some (Traceid.trace_id ~fingerprint, Traceid.span_id ~fingerprint ~shard);
   }
 
-(* First frame must be an accepted-version Hello; any fingerprint is an
-   acceptable scope (a concrete one may name a campaign that is about
-   to be submitted on this very connection). Quarantined workers are
-   refused here, terminally — a handshake Reject is the one refusal a
-   worker does not retry. v1 peers get a v1-framed Reject they can
-   decode, as the coordinator does. *)
-let expect_hello st conn =
+(* The first frame must be an accepted-version Hello that Sched.hello
+   admits; a handshake Reject is the one refusal a worker does not
+   retry, a Retry_later parks it. v1 peers get a v1-framed Reject they
+   can decode. [welcomed] is set before the Welcome goes out, so the
+   connection is released even if that send fails. *)
+let expect_hello st conn ~welcomed =
   let reject reason =
     send conn (Protocol.Reject { reason });
     raise Done_serving
   in
   match Wire.read_frame_raw conn with
   | `Corrupt (tag, raw) -> (
+      ignore
+        (locked st (fun () ->
+             Sched.charge st.sched ~now:(Clock.now ()) ~worker:None ~corrupt:true));
       match Protocol.v1_hello ~tag raw with
       | Some v ->
           let _, payload =
@@ -211,8 +211,8 @@ let expect_hello st conn =
                  {
                    reason =
                      Printf.sprintf
-                       "protocol version %d is no longer supported: this scheduler speaks v%d; \
-                        upgrade the worker"
+                       "protocol version %d is no longer supported: this server speaks v%d \
+                        (frames carry CRC-32 trailers); upgrade the worker"
                        v Protocol.version;
                  })
           in
@@ -221,38 +221,50 @@ let expect_hello st conn =
       | None -> raise Done_serving)
   | `Ok (tag, payload) -> (
       match Protocol.decode_client tag payload with
-      | Ok (Protocol.Hello { version; worker; fingerprint }) ->
+      | Ok (Protocol.Hello { version; worker; fingerprint }) -> (
           if not (Protocol.accepts_version version) then
-            reject (Printf.sprintf "protocol version %d, want %d" version Protocol.version)
-          else if locked st (fun () -> Sched.is_banned st.sched ~worker) then
-            reject "worker quarantined: failed result audit"
-          else begin
-            let negotiated = Protocol.negotiate ~peer:version in
-            send conn (Protocol.Welcome { version = negotiated });
-            (worker, fingerprint, negotiated)
-          end
+            reject (Printf.sprintf "protocol version %d, want %d" version Protocol.version);
+          let admission =
+            locked st (fun () ->
+                Sched.hello st.sched ~now:(Clock.now ()) ~worker ~scope:fingerprint)
+          in
+          match admission with
+          | `Reject reason -> reject reason
+          | `Retry_later cooldown_s ->
+              send conn (Protocol.Retry_later { cooldown_s });
+              raise Done_serving
+          | `Welcome ->
+              welcomed := Some worker;
+              let negotiated = Protocol.negotiate ~peer:version in
+              send conn (Protocol.Welcome { version = negotiated });
+              (worker, fingerprint, negotiated))
       | Ok _ | Error _ -> reject "expected hello")
 
 let handle_conn st fd =
-  let conn = Wire.conn fd ~deadline_s:st.config.io_deadline_s in
+  let count c n = locked st (fun () -> Option.iter (fun c -> Metrics.add c (float_of_int n)) c) in
+  let conn =
+    Wire.conn fd ~deadline_s:st.config.io_deadline_s ~on_sent:(count st.bytes_sent)
+      ~on_recv:(count st.bytes_received)
+  in
+  let welcomed = ref None in
   let finally () =
     Wire.close conn;
-    locked st (fun () ->
-        st.connected <- st.connected - 1;
-        gset st.connections st.connected)
+    locked st (fun () -> Sched.disconnect st.sched ~worker:!welcomed)
   in
-  locked st (fun () ->
-      st.connected <- st.connected + 1;
-      gset st.connections st.connected);
+  locked st (fun () -> Sched.connect st.sched);
   Fun.protect ~finally (fun () ->
       try
-        let worker, scope, negotiated = expect_hello st conn in
+        let worker, scope, negotiated = expect_hello st conn ~welcomed in
         let rec loop () =
           (match Wire.read_frame_raw conn with
           | `Corrupt _ ->
-              (* The content cannot be trusted; tell the peer to back
-                 off and reconnect, then hang up. *)
-              send conn (Protocol.Retry_later { cooldown_s = 0.5 });
+              (* The content cannot be trusted; charge the worker, tell
+                 it to back off and reconnect, then hang up. *)
+              let cooldown_s =
+                locked st (fun () ->
+                    Sched.charge st.sched ~now:(Clock.now ()) ~worker:(Some worker) ~corrupt:true)
+              in
+              send conn (Protocol.Retry_later { cooldown_s });
               raise Done_serving
           | `Ok (tag, payload) -> (
               match Protocol.decode_client_ext tag payload with
@@ -278,7 +290,12 @@ let handle_conn st fd =
                     | _ -> Protocol.no_extension
                   in
                   send ~ext conn reply
-              | Error msg -> send conn (Protocol.Reject { reason = msg })));
+              | Error msg ->
+                  ignore
+                    (locked st (fun () ->
+                         Sched.charge st.sched ~now:(Clock.now ()) ~worker:(Some worker)
+                           ~corrupt:false));
+                  send conn (Protocol.Reject { reason = msg })));
           loop ()
         in
         loop ()
@@ -294,45 +311,31 @@ let make_view st (obs : Obs.t) =
   let base_snapshot () =
     match obs.Obs.metrics with Some r -> Metrics.snapshot r | None -> []
   in
-  let count_int snap name =
-    match Metrics.find snap name with
-    | Some (Metrics.Counter v) -> int_of_float v
-    | _ -> 0
-  in
   let vw_metrics () =
     Metrics.to_prometheus (Fleet.merged_snapshot st.fleet ~base:(base_snapshot ()))
   in
-  let vw_health () =
-    let now = Clock.now () in
-    locked st (fun () ->
-        let entries = Sched.status st.sched ~now ~fingerprint:"" in
-        let active =
-          List.length
-            (List.filter
-               (fun e ->
-                 match e.Protocol.st_state with
-                 | Protocol.Queued | Protocol.Running -> true
-                 | Protocol.Finished | Protocol.Parked | Protocol.Cancelled -> false)
-               entries)
-        in
-        {
-          h_draining = Sched.draining st.sched;
-          h_queue_depth = active;
-          h_in_flight = Sched.in_flight st.sched;
-          h_connected = st.connected;
-          h_wal_torn = count_int (base_snapshot ()) "fmc_sched_wal_torn_records_total";
-        })
-  in
+  let vw_health () = locked st (fun () -> Sched.health st.sched ~now:(Clock.now ())) in
   let vw_status () =
-    let now = Clock.now () in
-    locked st (fun () -> Sched.status st.sched ~now ~fingerprint:"")
+    locked st (fun () -> Sched.status st.sched ~now:(Clock.now ()) ~fingerprint:"")
   in
-  let vw_workers () = Fleet.workers st.fleet in
+  let vw_workers () =
+    (* Every name seen by either channel: a Hello, or absorbed
+       telemetry. *)
+    let fleet = Fleet.workers st.fleet in
+    let known = locked st (fun () -> Sched.workers st.sched ~now:(Clock.now ())) in
+    List.sort_uniq compare (List.map fst known @ List.map fst fleet)
+    |> List.map (fun w_name ->
+           {
+             w_name;
+             w_health = List.assoc_opt w_name known;
+             w_fleet = List.assoc_opt w_name fleet;
+           })
+  in
   let vw_trace_json () =
     let own_events =
       match obs.Obs.tracer with Some tr -> Span.events tr | None -> []
     in
-    Fleet.to_chrome_json ~own_label:"scheduler" ~own_events st.fleet
+    Fleet.to_chrome_json ~own_label:"server" ~own_events st.fleet
   in
   { vw_metrics; vw_health; vw_status; vw_workers; vw_trace_json }
 
@@ -351,24 +354,20 @@ let restore_handlers saved =
     saved
 
 let serve ?(obs = Obs.disabled) ?(on_ready = fun (_ : control) -> ()) ?on_view (config : config) =
-  let now = Clock.now () in
-  let sched = Sched.create ~obs config.sched ~dir:config.state_dir ~now in
-  let connections, draining_g =
-    match obs.Obs.metrics with
-    | None -> (None, None)
-    | Some r ->
-        ( Some (Metrics.gauge r ~help:"live scheduler connections" "fmc_sched_connections"),
-          Some (Metrics.gauge r ~help:"1 while draining after SIGTERM" "fmc_sched_draining") )
-  in
+  let sched = Sched.create ~obs config.sched config.store ~now:(Clock.now ()) in
+  let reg = obs.Obs.metrics in
+  let g help name = Option.map (fun r -> Metrics.gauge r ~help name) reg in
+  let c help name = Option.map (fun r -> Metrics.counter r ~help name) reg in
   let st =
     {
       mutex = Mutex.create ();
       sched;
       config;
       drain_flag = Atomic.make false;
-      connected = 0;
-      connections;
-      draining_g;
+      connections = g "live server connections" "fmc_sched_connections";
+      draining_g = g "1 while draining after SIGTERM" "fmc_sched_draining";
+      bytes_sent = c "protocol bytes sent" "fmc_dist_bytes_sent_total";
+      bytes_received = c "protocol bytes received" "fmc_dist_bytes_received_total";
       fleet = Fleet.create ();
     }
   in
@@ -385,39 +384,40 @@ let serve ?(obs = Obs.disabled) ?(on_ready = fun (_ : control) -> ()) ?on_view (
   in
   Fun.protect ~finally (fun () ->
       on_ready { request_drain = (fun () -> Atomic.set st.drain_flag true) };
-      Obs.span obs ~cat:"sched" "serve" (fun () ->
-          let reason = ref Drained in
-          let running = ref true in
-          while !running do
-            let readable, _, _ =
-              try Unix.select [ sock ] [] [] 0.2
-              with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+      let reason =
+        Obs.span obs ~cat:"sched" "serve" (fun () ->
+            let rec run () =
+              let readable, _, _ =
+                try Unix.select [ sock ] [] [] 0.2
+                with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+              in
+              (match readable with
+              | [ _ ] ->
+                  let fd, _ = Unix.accept sock in
+                  ignore (Thread.create (fun () -> handle_conn st fd) ())
+              | _ -> ());
+              let verdict =
+                locked st (fun () ->
+                    if Atomic.get st.drain_flag then begin
+                      Sched.drain st.sched;
+                      gset st.draining_g 1
+                    end;
+                    let now = Clock.now () in
+                    gset st.connections (Sched.health st.sched ~now).Sched.h_connected;
+                    Sched.tick st.sched ~now)
+              in
+              match verdict with
+              | `Serve -> run ()
+              | `Stop reason -> reason
+              | `Abandoned msg -> failwith msg
             in
-            (match readable with
-            | [ _ ] ->
-                let fd, _ = Unix.accept sock in
-                ignore (Thread.create (fun () -> handle_conn st fd) ())
-            | _ -> ());
-            let now = Clock.now () in
+            run ())
+      in
+      let sv_report =
+        match config.store with
+        | Sched.Queue _ -> None
+        | Sched.Campaign { spec; _ } ->
             locked st (fun () ->
-                Sched.sweep st.sched ~now;
-                if Atomic.get st.drain_flag && not (Sched.draining st.sched) then begin
-                  Sched.drain st.sched;
-                  gset st.draining_g 1
-                end;
-                if Sched.draining st.sched then begin
-                  (* Stop leasing, let in-flight shards land, then go. *)
-                  if Sched.in_flight st.sched = 0 then begin
-                    reason := Drained;
-                    running := false
-                  end
-                end
-                else if
-                  config.max_idle_s > 0. && Sched.idle st.sched
-                  && now -. Sched.last_activity st.sched >= config.max_idle_s
-                then begin
-                  reason := Idle;
-                  running := false
-                end)
-          done;
-          { sv_reason = !reason }))
+                Sched.report st.sched ~fingerprint:(Fmc_dist.Protocol.spec_fingerprint spec))
+      in
+      { sv_reason = reason; sv_report })

@@ -12,6 +12,8 @@ module Rng = Fmc_prelude.Rng
 module Metrics = Fmc_obs.Metrics
 open Fmc
 open Fmc_dist
+module Crc32 = Fmc_prelude.Crc32
+module Sched = Fmc_sched.Sched
 
 let ctx = lazy (Experiments.context ())
 let engine () = Experiments.engine_for (Lazy.force ctx) Programs.illegal_write
@@ -257,22 +259,20 @@ let test_breaker_parks_and_recovers () =
     ~finally:(fun () -> if Sys.file_exists sock then Sys.remove sock)
     (fun () ->
       let addr = Wire.Unix_path sock in
-      let config =
+      let sched =
         {
-          (Coordinator.default_config addr) with
-          Coordinator.ttl_s = 5.;
+          Sched.default_config with
+          Sched.ttl_s = 5.;
           linger_s = 0.5;
           breaker = { Breaker.failure_threshold = 2; cooldown_s = 0.4 };
         }
       in
+      let spec = Loopback.spec ~strategy:(Sampler.name prep) ~samples ~seed ~shard_size () in
       let creg = Metrics.create () in
       let cobs = Fmc_obs.Obs.create ~metrics:creg () in
-      let outcome = ref None in
-      let server =
-        Thread.create (fun () -> outcome := Some (Coordinator.serve ~obs:cobs config ~fingerprint ~plan)) ()
-      in
+      let server = Loopback.serve ~obs:cobs ~addr sched spec in
       (* Two corrupt frames under the name "w1" trip its breaker. The
-         coordinator hangs up after each, so reconnect between them. *)
+         server hangs up after each, so reconnect between them. *)
       let corrupt_once () =
         let fd = Wire.connect ~attempts:40 ~delay_s:0.05 addr in
         let conn = Wire.conn fd in
@@ -304,10 +304,9 @@ let test_breaker_parks_and_recovers () =
       in
       let accepted = Worker.run ~obs:wobs wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "parked worker still ran every shard" (Array.length plan) accepted;
-      Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
+      let shards, _ = Loopback.finish server in
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in
@@ -351,26 +350,21 @@ let chaos_round ~round =
     (fun () ->
       let upstream = Wire.Unix_path hidden in
       let proxy_addr = Wire.Unix_path public in
-      let config =
+      let sched =
         {
-          (Coordinator.default_config upstream) with
-          Coordinator.ttl_s = 1.0;
+          Sched.default_config with
+          Sched.ttl_s = 1.0;
           linger_s = 1.0;
-          (* A bit flip in a frame's length word leaves the reader
-             waiting for bytes that never come; short deadlines turn
-             that stall into a quick typed Timeout. *)
-          io_deadline_s = 2.;
           breaker = { Breaker.failure_threshold = 4; cooldown_s = 0.3 };
         }
       in
+      let spec = Loopback.spec ~strategy:(Sampler.name prep) ~samples ~seed ~shard_size () in
       let creg = Metrics.create () in
       let cobs = Fmc_obs.Obs.create ~metrics:creg () in
-      let outcome = ref None in
-      let server =
-        Thread.create
-          (fun () -> outcome := Some (Coordinator.serve ~obs:cobs config ~fingerprint ~plan))
-          ()
-      in
+      (* A bit flip in a frame's length word leaves the reader waiting
+         for bytes that never come; a short io deadline turns that stall
+         into a quick typed Timeout. *)
+      let server = Loopback.serve ~obs:cobs ~io_deadline_s:2. ~addr:upstream sched spec in
       let cplan =
         match
           Fmc_chaos.Plan.parse
@@ -436,12 +430,10 @@ let chaos_round ~round =
           let w1 = worker "w1" and w2 = worker "w2" in
           Thread.join w1;
           Thread.join w2;
-          Thread.join server;
-          let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
-          Alcotest.(check int) "all shard results" (Array.length plan)
-            (List.length oc.Coordinator.oc_shards);
+          let shards, _ = Loopback.finish server in
+          Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
           let dist =
-            match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+            match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
             | Ok r -> r
             | Error msg -> Alcotest.failf "merge failed: %s" msg
           in
@@ -478,22 +470,13 @@ let test_lying_proxy_caught_by_audit () =
     (fun () ->
       let upstream = Wire.Unix_path hidden in
       let proxy_addr = Wire.Unix_path public in
-      let config =
-        {
-          (Coordinator.default_config upstream) with
-          Coordinator.ttl_s = 5.0;
-          linger_s = 1.0;
-          audit_rate = 1.0;
-        }
+      let sched =
+        { Sched.default_config with Sched.ttl_s = 5.0; linger_s = 1.0; audit_rate = 1.0 }
       in
+      let spec = Loopback.spec ~strategy:(Sampler.name prep) ~samples ~seed ~shard_size () in
       let creg = Metrics.create () in
       let cobs = Fmc_obs.Obs.create ~metrics:creg () in
-      let outcome = ref None in
-      let server =
-        Thread.create
-          (fun () -> outcome := Some (Coordinator.serve ~obs:cobs config ~fingerprint ~plan))
-          ()
-      in
+      let server = Loopback.serve ~obs:cobs ~addr:upstream sched spec in
       let cplan =
         match Fmc_chaos.Plan.parse "lie p=1" with
         | Ok p -> p
@@ -548,12 +531,10 @@ let test_lying_proxy_caught_by_audit () =
           in
           let accepted = Worker.run wcfg ~fingerprint e prep ~seed in
           Alcotest.(check bool) "honest worker executed audits and re-runs" true (accepted >= 1);
-          Thread.join server;
-          let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
-          Alcotest.(check int) "all shard results" (Array.length plan)
-            (List.length oc.Coordinator.oc_shards);
+          let shards, _ = Loopback.finish server in
+          Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
           let dist =
-            match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+            match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
             | Ok r -> r
             | Error msg -> Alcotest.failf "merge failed: %s" msg
           in

@@ -9,6 +9,8 @@ module Programs = Fmc_isa.Programs
 module Rng = Fmc_prelude.Rng
 open Fmc
 open Fmc_dist
+module Sched = Fmc_sched.Sched
+module Service = Fmc_sched.Service
 
 let ctx = lazy (Experiments.context ())
 let engine () = Experiments.engine_for (Lazy.force ctx) Programs.illegal_write
@@ -275,7 +277,7 @@ let test_fencing_exactly_once () =
       check_reports_equal reference.Campaign.report report
 
 (* ------------------------------------------------------------------ *)
-(* Coordinator checkpoint *)
+(* Campaign checkpoint codec *)
 
 let test_ckpt_roundtrip () =
   let path = Filename.temp_file "fmc-dist" ".ckpt" in
@@ -381,22 +383,11 @@ let test_loopback_campaign_with_dead_worker () =
       List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ sock_path; ckpt_path ])
     (fun () ->
       let addr = Wire.Unix_path sock_path in
-      let config =
-        {
-          (Coordinator.default_config addr) with
-          Coordinator.ttl_s = 1.0;
-          linger_s = 1.5;
-          checkpoint_path = Some ckpt_path;
-        }
-      in
+      let sched = { Sched.default_config with Sched.ttl_s = 1.0; linger_s = 1.5 } in
+      let spec = Loopback.spec ~strategy:(Sampler.name prep) ~samples ~seed ~shard_size () in
       let reg = Fmc_obs.Metrics.create () in
       let obs = Fmc_obs.Obs.create ~metrics:reg () in
-      let outcome = ref None in
-      let server =
-        Thread.create
-          (fun () -> outcome := Some (Coordinator.serve ~obs config ~fingerprint ~plan))
-          ()
-      in
+      let server = Loopback.serve ~obs ~checkpoint:ckpt_path ~addr sched spec in
       (* A worker takes the first lease and dies without completing it:
          connect, hello, lease, go silent past the TTL, then report the
          (well-formed!) result under the now-fenced epoch. *)
@@ -432,19 +423,17 @@ let test_loopback_campaign_with_dead_worker () =
       in
       let accepted = Worker.run wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "healthy worker ran every shard" (Array.length plan) accepted;
-      Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
-      Alcotest.(check int) "all shard results" (Array.length plan)
-        (List.length oc.Coordinator.oc_shards);
-      Alcotest.(check int) "nothing quarantined" 0 (List.length oc.Coordinator.oc_quarantined);
+      let shards, quarantined = Loopback.finish server in
+      Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
+      Alcotest.(check int) "nothing quarantined" 0 (List.length quarantined);
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in
       let reference = Campaign.estimate_sharded e prep ~samples ~seed ~shard_size in
       check_reports_equal reference.Campaign.report dist;
-      (* Coordinator metrics recorded the failure story: one expired
+      (* Server metrics recorded the failure story: one expired
          lease, one fenced stale result, every shard completed. *)
       let metric name =
         match Fmc_obs.Metrics.find (Fmc_obs.Metrics.snapshot reg) name with
@@ -458,11 +447,8 @@ let test_loopback_campaign_with_dead_worker () =
         (float_of_int (Array.length plan))
         (metric "fmc_dist_shards_completed_total");
       (* The checkpoint now holds the whole campaign: a restarted
-         coordinator resumes finished and serves the same report. *)
-      let outcome2 = ref None in
-      let server2 =
-        Thread.create (fun () -> outcome2 := Some (Coordinator.serve config ~fingerprint ~plan)) ()
-      in
+         server resumes finished and serves the same report. *)
+      let server2 = Loopback.serve ~checkpoint:ckpt_path ~addr sched spec in
       let fcfg = Worker.default_config ~addr ~worker_name:"report-client" in
       (match Worker.fetch_report ~poll_s:0.05 ~timeout_s:10. fcfg ~fingerprint:"different" with
       | Error _ -> ()
@@ -478,12 +464,8 @@ let test_loopback_campaign_with_dead_worker () =
             | Error msg -> Alcotest.failf "merge failed: %s" msg
           in
           check_reports_equal reference.Campaign.report fetched);
-      Thread.join server2;
-      match !outcome2 with
-      | Some o ->
-          Alcotest.(check int) "restart served from checkpoint" (Array.length plan)
-            (List.length o.Coordinator.oc_shards)
-      | None -> Alcotest.fail "no outcome from restarted coordinator")
+      Alcotest.(check int) "restart served from checkpoint" (Array.length plan)
+        (List.length (fst (Loopback.finish server2))))
 
 (* ------------------------------------------------------------------ *)
 (* Fleet observability (protocol v4): version negotiation, trace-id
@@ -552,40 +534,15 @@ let test_loopback_fleet_telemetry () =
     ~finally:(fun () -> if Sys.file_exists sock_path then Sys.remove sock_path)
     (fun () ->
       let addr = Wire.Unix_path sock_path in
-      let config =
-        { (Coordinator.default_config addr) with Coordinator.ttl_s = 1.0; linger_s = 1.0 }
-      in
+      let sched = { Sched.default_config with Sched.ttl_s = 1.0; linger_s = 1.0 } in
+      let spec = Loopback.spec ~strategy:(Sampler.name prep) ~samples ~seed ~shard_size () in
       let obs =
         Fmc_obs.Obs.create ~metrics:(Fmc_obs.Metrics.create ())
           ~tracer:(Fmc_obs.Span.create ()) ()
       in
       let view = ref None in
-      let outcome = ref None in
-      let server =
-        Thread.create
-          (fun () ->
-            outcome :=
-              Some
-                (Coordinator.serve ~obs
-                   ~on_view:(fun v -> view := Some v)
-                   config ~fingerprint ~plan))
-          ()
-      in
-      let v =
-        let rec wait n =
-          match !view with
-          | Some v -> v
-          | None ->
-              if n = 0 then Alcotest.fail "coordinator never published its view"
-              else (
-                Thread.delay 0.05;
-                wait (n - 1))
-        in
-        wait 100
-      in
-      Alcotest.(check string) "view carries the deterministic trace id"
-        (Fmc_obs.Traceid.trace_id ~fingerprint)
-        v.Coordinator.vw_trace_id;
+      let server = Loopback.serve ~obs ~on_view:(fun v -> view := Some v) ~addr sched spec in
+      let v = match !view with Some v -> v | None -> Alcotest.fail "no fleet view published" in
       (* A v3 peer still negotiates and is served, with nothing extra. *)
       let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
       let conn = Wire.conn fd in
@@ -664,16 +621,18 @@ let test_loopback_fleet_telemetry () =
       | Protocol.Ack { accepted = true; _ } -> ()
       | _ -> Alcotest.fail "live heartbeat must be acked");
       (* The scrape surface reflects the absorbed batch. *)
-      (match List.find_opt (fun w -> w.Coordinator.w_name = "manual") (v.Coordinator.vw_workers ()) with
-      | Some w ->
-          Alcotest.(check int) "span summary absorbed" 1 w.Coordinator.w_spans;
-          Alcotest.(check bool) "wall clock stamped" true (w.Coordinator.w_last_wall > 0.)
+      (match List.find_opt (fun w -> w.Service.w_name = "manual") (v.Service.vw_workers ()) with
+      | Some { Service.w_fleet = Some fi; w_health = Some wh; _ } ->
+          Alcotest.(check int) "span summary absorbed" 1 fi.Fmc_obs.Fleet.wi_span_count;
+          Alcotest.(check bool) "wall clock stamped" true (fi.Fmc_obs.Fleet.wi_last_wall > 0.);
+          Alcotest.(check int) "live connection counted" 1 wh.Sched.wh_connections
+      | Some _ -> Alcotest.fail "manual worker lacks telemetry or health in the fleet view"
       | None -> Alcotest.fail "manual worker missing from the fleet view");
       Alcotest.(check bool) "/metrics merges the worker snapshot" true
-        (contains (v.Coordinator.vw_metrics ()) "fmc_dist_worker_marker_total 2");
-      let health = v.Coordinator.vw_health () in
-      Alcotest.(check int) "shards total" (Array.length plan) health.Coordinator.h_shards_total;
-      Alcotest.(check bool) "not finished yet" false health.Coordinator.h_finished;
+        (contains (v.Service.vw_metrics ()) "fmc_dist_worker_marker_total 2");
+      let health = v.Service.vw_health () in
+      Alcotest.(check int) "shards total" (Array.length plan) health.Sched.h_shards_total;
+      Alcotest.(check bool) "not finished yet" false health.Sched.h_finished;
       (* Complete the leased shard for real, telemetry on the side again. *)
       let sh = Campaign.run_shard e prep ~seed ~shard ~start ~len in
       let tag, payload =
@@ -705,10 +664,9 @@ let test_loopback_fleet_telemetry () =
       in
       let accepted = Worker.run ~obs:wobs wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "worker ran the remaining shards" (Array.length plan - 1) accepted;
-      Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
+      let shards, _ = Loopback.finish server in
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in
@@ -719,8 +677,8 @@ let test_loopback_fleet_telemetry () =
         (Export.report_json reference.Campaign.report)
         (Export.report_json dist);
       (* The stitched fleet trace carries both workers on their own
-         tracks next to the coordinator's. *)
-      let trace = v.Coordinator.vw_trace_json () in
+         tracks next to the server's. *)
+      let trace = v.Service.vw_trace_json () in
       List.iter
         (fun needle ->
           Alcotest.(check bool) (needle ^ " on the stitched trace") true (contains trace needle))
@@ -762,22 +720,13 @@ let test_loopback_lying_worker_quarantined () =
     ~finally:(fun () -> if Sys.file_exists sock_path then Sys.remove sock_path)
     (fun () ->
       let addr = Wire.Unix_path sock_path in
-      let config =
-        {
-          (Coordinator.default_config addr) with
-          Coordinator.ttl_s = 2.0;
-          linger_s = 2.0;
-          audit_rate = 1.0;
-        }
+      let sched =
+        { Sched.default_config with Sched.ttl_s = 2.0; linger_s = 2.0; audit_rate = 1.0 }
       in
+      let spec = Loopback.spec ~strategy:(Sampler.name prep) ~samples ~seed ~shard_size () in
       let reg = Fmc_obs.Metrics.create () in
       let obs = Fmc_obs.Obs.create ~metrics:reg () in
-      let outcome = ref None in
-      let server =
-        Thread.create
-          (fun () -> outcome := Some (Coordinator.serve ~obs config ~fingerprint ~plan))
-          ()
-      in
+      let server = Loopback.serve ~obs ~addr sched spec in
       let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
       let conn = Wire.conn fd in
       send conn (Protocol.Hello { version = Protocol.version; worker = "mallory"; fingerprint });
@@ -842,12 +791,10 @@ let test_loopback_lying_worker_quarantined () =
             (contains reason "quarantine")
       | _ -> Alcotest.fail "a quarantined worker must be rejected at hello");
       Wire.close conn;
-      Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
-      Alcotest.(check int) "all shard results" (Array.length plan)
-        (List.length oc.Coordinator.oc_shards);
+      let shards, _ = Loopback.finish server in
+      Alcotest.(check int) "all shard results" (Array.length plan) (List.length shards);
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in

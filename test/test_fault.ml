@@ -328,13 +328,12 @@ let test_loopback_model_campaign () =
     ~finally:(fun () -> if Sys.file_exists sock_path then Sys.remove sock_path)
     (fun () ->
       let addr = Wire.Unix_path sock_path in
-      let config =
-        { (Coordinator.default_config addr) with Coordinator.ttl_s = 1.0; linger_s = 0.5 }
+      let sched = { Fmc_sched.Sched.default_config with ttl_s = 1.0; linger_s = 0.5 } in
+      let spec =
+        Loopback.spec ~model:(Model.canonical m) ~strategy:(Sampler.name prep) ~samples ~seed
+          ~shard_size ()
       in
-      let outcome = ref None in
-      let server =
-        Thread.create (fun () -> outcome := Some (Coordinator.serve config ~fingerprint ~plan)) ()
-      in
+      let server = Loopback.serve ~addr sched spec in
       (* A worker configured for the default model: its fingerprint
          lacks the model component, so the handshake refuses it. *)
       let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
@@ -345,6 +344,15 @@ let test_loopback_model_campaign () =
       | Protocol.Reject _ -> ()
       | _ -> Alcotest.fail "model mismatch must be rejected at hello");
       Wire.close conn;
+      (* The same refusal reaches a real worker as a terminal
+         [Worker.Rejected], not a reconnect loop. *)
+      (match
+         Worker.run
+           (Worker.default_config ~addr ~worker_name:"wrong-model")
+           ~fingerprint:(fp ()) e prep ~seed
+       with
+      | _ -> Alcotest.fail "a worker with the wrong model must be refused"
+      | exception Worker.Rejected _ -> ());
       (* A worker under the right model takes a lease and dies. *)
       let fd = Wire.connect ~attempts:40 ~delay_s:0.1 addr in
       let conn = Wire.conn fd in
@@ -376,10 +384,9 @@ let test_loopback_model_campaign () =
       in
       let accepted = Worker.run ?inject wcfg ~fingerprint e prep ~seed in
       Alcotest.(check int) "healthy worker ran every shard" (Array.length plan) accepted;
-      Thread.join server;
-      let oc = match !outcome with Some o -> o | None -> Alcotest.fail "no outcome" in
+      let shards, _ = Loopback.finish server in
       let dist =
-        match Merge.report_of_blobs ~strategy:(Sampler.name prep) oc.Coordinator.oc_shards with
+        match Merge.report_of_blobs ~strategy:(Sampler.name prep) shards with
         | Ok r -> r
         | Error msg -> Alcotest.failf "merge failed: %s" msg
       in

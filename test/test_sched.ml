@@ -178,7 +178,7 @@ let test_admission_cancel_cache () =
   let prep = prepare Sampler.default_mixed in
   let now = 1000. in
   let config = { Sched.default_config with queue_depth = 2 } in
-  let sched = Sched.create config ~dir ~now in
+  let sched = Sched.create config (Sched.Queue dir) ~now in
   let s1 = spec ~seed:5 () and s2 = spec ~seed:9 () and s3 = spec ~seed:13 () in
   (match Sched.submit sched ~now s1 with
   | `Queued 0 -> ()
@@ -235,14 +235,14 @@ let test_admission_cancel_cache () =
 let test_drain_stops_leasing () =
   with_dir @@ fun dir ->
   let now = 50. in
-  let sched = Sched.create Sched.default_config ~dir ~now in
+  let sched = Sched.create Sched.default_config (Sched.Queue dir) ~now in
   (match Sched.submit sched ~now (spec ()) with `Queued 0 -> () | _ -> Alcotest.fail "queue");
   Sched.drain sched;
-  Alcotest.(check bool) "draining" true (Sched.draining sched);
+  Alcotest.(check bool) "draining" true (Sched.health sched ~now).Sched.h_draining;
   (match Sched.next_job sched ~now ~worker:"w" ~scope:Protocol.pool_fingerprint with
   | `Drained -> ()
   | _ -> Alcotest.fail "a draining scheduler must not lease");
-  Alcotest.(check int) "nothing in flight" 0 (Sched.in_flight sched);
+  Alcotest.(check int) "nothing in flight" 0 (Sched.health sched ~now).Sched.h_in_flight;
   Sched.shutdown sched
 
 (* ------------------------------------------------------------------ *)
@@ -261,7 +261,7 @@ let test_kill9_recovery_bit_identical () =
   and fp3 = Protocol.spec_fingerprint s3 in
   (* First incarnation: three campaigns; finish s1, run one shard of s2,
      leave s3 untouched — then "crash" (no shutdown, no compaction). *)
-  let sched1 = Sched.create Sched.default_config ~dir ~now in
+  let sched1 = Sched.create Sched.default_config (Sched.Queue dir) ~now in
   List.iter
     (fun s ->
       match Sched.submit sched1 ~now s with
@@ -275,7 +275,7 @@ let test_kill9_recovery_bit_identical () =
   (* sched1 is abandoned here, WAL handle and all, like a SIGKILL. *)
   let reg = Fmc_obs.Metrics.create () in
   let obs = Fmc_obs.Obs.create ~metrics:reg () in
-  let sched2 = Sched.create ~obs Sched.default_config ~dir ~now:(now +. 10.) in
+  let sched2 = Sched.create ~obs Sched.default_config (Sched.Queue dir) ~now:(now +. 10.) in
   Alcotest.(check (float 0.)) "recoveries counted" 3. (metric reg "fmc_sched_recoveries_total");
   let now = now +. 20. in
   let state fp =
@@ -304,7 +304,7 @@ let test_kill9_recovery_bit_identical () =
     [ (fp1, s1); (fp2, s2); (fp3, s3) ];
   Sched.shutdown sched2;
   (* A third incarnation after a clean shutdown: everything is cached. *)
-  let sched3 = Sched.create Sched.default_config ~dir ~now in
+  let sched3 = Sched.create Sched.default_config (Sched.Queue dir) ~now in
   (match Sched.submit sched3 ~now s2 with
   | `Cached -> ()
   | _ -> Alcotest.fail "finished campaigns survive a clean restart");
@@ -341,7 +341,7 @@ let test_kill9_mid_audit_preserves_obligations () =
           ~tally ~quarantined
     | `Wait | `Drained | `Banned | `Unknown_scope -> Alcotest.fail "expected a job"
   in
-  let sched1 = Sched.create config ~dir ~now in
+  let sched1 = Sched.create config (Sched.Queue dir) ~now in
   (match Sched.submit sched1 ~now s with `Queued 0 -> () | _ -> Alcotest.fail "submit");
   (match run_one sched1 ~worker:"alice" ~digest_of:(fun ~tally:_ ~quarantined:_ -> Some "bogus")
    with
@@ -356,7 +356,7 @@ let test_kill9_mid_audit_preserves_obligations () =
   Alcotest.(check bool) "report withheld while audits are pending" true
     (Sched.report sched1 ~fingerprint:fp = None);
   (* sched1 is abandoned here — WAL handle, audit leases and all. *)
-  let sched2 = Sched.create config ~dir ~now in
+  let sched2 = Sched.create config (Sched.Queue dir) ~now in
   Alcotest.(check bool) "audit obligations survive kill -9" true
     (Sched.report sched2 ~fingerprint:fp = None);
   (* A different worker drains the re-offered audits; once both pass
@@ -398,7 +398,7 @@ let test_torn_submit_record_dropped () =
   with_dir @@ fun dir ->
   let now = 10. in
   let s1 = spec ~seed:5 () and s2 = spec ~seed:9 () in
-  let sched1 = Sched.create Sched.default_config ~dir ~now in
+  let sched1 = Sched.create Sched.default_config (Sched.Queue dir) ~now in
   (match Sched.submit sched1 ~now s1 with `Queued 0 -> () | _ -> Alcotest.fail "submit s1");
   (match Sched.submit sched1 ~now s2 with `Queued 1 -> () | _ -> Alcotest.fail "submit s2");
   (* Tear the tail of the live WAL: the s2 submit record is the victim,
@@ -410,7 +410,7 @@ let test_torn_submit_record_dropped () =
   Unix.close fd;
   let reg = Fmc_obs.Metrics.create () in
   let obs = Fmc_obs.Obs.create ~metrics:reg () in
-  let sched2 = Sched.create ~obs Sched.default_config ~dir ~now in
+  let sched2 = Sched.create ~obs Sched.default_config (Sched.Queue dir) ~now in
   Alcotest.(check (float 0.)) "torn record counted" 1.
     (metric reg "fmc_sched_wal_torn_records_total");
   Alcotest.(check int) "only the intact submission survives" 1
@@ -428,6 +428,19 @@ let test_torn_submit_record_dropped () =
 (* ------------------------------------------------------------------ *)
 (* Loopback service + shared pool worker *)
 
+(* Service.serve's on_ready fires once the socket listens: clients
+   started after it never race the bind. *)
+let await_ready control =
+  let rec wait n =
+    match !control with
+    | Some c -> c
+    | None ->
+        if n = 0 then Alcotest.fail "server never became ready";
+        Thread.delay 0.02;
+        wait (n - 1)
+  in
+  wait 500
+
 let test_service_loopback_pool () =
   let e = engine () in
   let prep = prepare Sampler.default_mixed in
@@ -440,7 +453,7 @@ let test_service_loopback_pool () =
       let addr = Wire.Unix_path sock_path in
       let config =
         {
-          (Service.default_config ~addr ~state_dir:dir) with
+          (Service.default_config ~addr (Sched.Queue dir)) with
           Service.handle_signals = false;
           sched = { Sched.default_config with Sched.ttl_s = 5. };
         }
@@ -455,9 +468,16 @@ let test_service_loopback_pool () =
             outcome := Some (Service.serve ~obs ~on_ready:(fun c -> control := Some c) config))
           ()
       in
+      let control = await_ready control in
       let s1 = spec ~samples:60 ~seed:5 () in
       let fp1 = Protocol.spec_fingerprint s1 in
       let client = Worker.default_config ~addr ~worker_name:"ctl" in
+      (* One hello rule: a concrete fingerprint naming no campaign this
+         server holds is refused at Hello, which a worker treats as
+         terminal instead of reconnecting. *)
+      (match Worker.run client ~fingerprint:fp1 e prep ~seed:5 with
+      | _ -> Alcotest.fail "an unknown campaign must be refused at hello"
+      | exception Worker.Rejected _ -> ());
       (* Submit over the wire before any worker exists. *)
       (match Worker.submit client s1 with
       | Ok (Worker.Submit_queued 0) -> ()
@@ -501,12 +521,12 @@ let test_service_loopback_pool () =
       | Error msg -> Alcotest.failf "status failed: %s" msg);
       (* Drain: leasing stops, the pool worker is told to exit, the
          service returns. *)
-      (match !control with Some c -> c.Service.request_drain () | None -> Alcotest.fail "ready");
+      control.Service.request_drain ();
       Thread.join pool;
       Alcotest.(check bool) "pool worker completed shards" true (!accepted >= 1);
       Thread.join server;
       (match !outcome with
-      | Some { Service.sv_reason = Service.Drained } -> ()
+      | Some { Service.sv_reason = Service.Drained; _ } -> ()
       | Some _ -> Alcotest.fail "expected a drained exit"
       | None -> Alcotest.fail "no outcome");
       ignore !saw_pending)
